@@ -20,7 +20,8 @@ PC008     ``SharedMemory``/``ShmRegistry`` created but neither closed,
           unlinked, nor handed off on every path — the fd-leak class
           the shm graveyard sweep papers over at runtime.
 PC009     Write to a page payload (``set_root``/``write*``/subscript
-          store) after ``seal()``/``to_bytes()`` on any path — a
+          store) after ``seal()``/``to_bytes()``/``sealed_view()`` on
+          any path — a
           cross-process torn-read hazard once the bytes shipped over
           the shm transport.
 ========  ==============================================================
@@ -364,7 +365,7 @@ def check_shm_leak(tree, path, source):
                     continue
                 # Handing the segment to any callee (directly or inside
                 # a container literal) transfers ownership: graveyard
-                # registration, attachment lists, _disown().
+                # registration, attachment lists.
                 if isinstance(node, ast.Call) and _shm_ctor(node) is None:
                     passed = set()
                     for arg in list(node.args) + [
@@ -399,7 +400,7 @@ def check_shm_leak(tree, path, source):
 
 # -- PC009: write after seal --------------------------------------------------
 
-_SEALERS = {"seal", "to_bytes"}
+_SEALERS = {"seal", "to_bytes", "sealed_view"}
 
 
 def _is_write_call(node, sealed_texts):
@@ -417,9 +418,9 @@ def _is_write_call(node, sealed_texts):
 
 @rule("PC009", "write-after-seal")
 def check_write_after_seal(tree, path, source):
-    """Page payload written after ``seal()``/``to_bytes()``."""
+    """Page payload written after it was sealed (``_SEALERS``)."""
     if "memory" in _path_parts(path):
-        # seal()/to_bytes() themselves live here, as do the layout
+        # The sealers themselves live here, as do the layout
         # writers they are built from.
         return []
     findings = []
@@ -484,7 +485,7 @@ def check_write_after_seal(tree, path, source):
                 _seen.add(key)
                 _out.append(_finding(
                     "PC009",
-                    "write to %r after seal()/to_bytes(); readers "
+                    "write to %r after it was sealed; readers "
                     "in other processes may see the torn page"
                     % text, _path, where,
                 ))

@@ -31,8 +31,8 @@ PC007     ``pin``/``retain`` without its ``unpin``/``release`` on some
           sensitive; see :mod:`repro.analysis.flowrules`).
 PC008     ``SharedMemory``/``ShmRegistry`` created but not closed,
           unlinked, or handed off on every path (flow-sensitive).
-PC009     Write to a page payload after ``seal()``/``to_bytes()`` on
-          any path (flow-sensitive).
+PC009     Write to a page payload after ``seal()``/``to_bytes()``/
+          ``sealed_view()`` on any path (flow-sensitive).
 ========  ==============================================================
 
 A finding is silenced by a trailing ``# pcsan: disable=PCnnn`` comment

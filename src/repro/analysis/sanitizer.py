@@ -22,9 +22,10 @@ is the opt-in enforcement layer:
   raw ``write_refcount`` poke surfaces as a ``refcount_mismatch``.
 * **Pin-leak detection.**  The cluster snapshots buffer-pool pins when a
   job starts and diffs them when it ends; pins still held are reported.
-* **Seal-time leak check.**  Sealing (``to_bytes``) a managed block that
-  holds live refcounted objects but never had a root recorded reports
-  the orphaned objects — they would be unreachable on the shipped page.
+* **Seal-time leak check.**  Sealing (``sealed_view``/``to_bytes``) a
+  managed block that holds live refcounted objects but never had a root
+  recorded reports the orphaned objects — they would be unreachable on
+  the shipped page.
 
 Everything is surfaced twice: as ``pc_san_*`` counters (with ``san.*``
 trace mirrors) through the :mod:`repro.obs` metrics layer, and as a
@@ -42,6 +43,7 @@ or :func:`enable` / :func:`sanitize_scope`.
 from __future__ import annotations
 
 import os
+import weakref
 
 from repro.errors import DanglingHandleError
 
@@ -127,12 +129,17 @@ class _BlockShadow:
     None``, and each hook does dict work proportional to the operation.
     """
 
-    __slots__ = ("san", "block", "generations", "refcounts", "live",
+    __slots__ = ("san", "_block", "generations", "refcounts", "live",
                  "poisoned", "retired", "seal_reported")
 
     def __init__(self, san, block):
         self.san = san
-        self.block = block
+        # Weak: a strong back-reference would make every watched block
+        # a reference cycle, keeping its buffer (for shm-resident pages,
+        # a view over the mapped segment) alive until a GC pass — the
+        # segment's close() then fails, at interpreter exit included.
+        # The shadow is only reached through its block, so it is alive.
+        self._block = weakref.ref(block)
         self.seal_reported = False
         #: offset -> times the object at this offset has been freed
         self.generations = {}
@@ -144,6 +151,10 @@ class _BlockShadow:
         self.poisoned = {}
         #: set to a reason string when the owning page was freed
         self.retired = None
+
+    @property
+    def block(self):
+        return self._block()
 
     # -- allocator hooks ---------------------------------------------------
 

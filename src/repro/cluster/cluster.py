@@ -383,21 +383,20 @@ class PCCluster:
                 )
                 continue
             for index, page_id in enumerate(list(page_set.page_ids)):
+                peer = survivors[(moved + index) % len(survivors)]
                 page = dead.storage.pool.pin(page_id)
                 try:
-                    data = page.to_bytes()
+                    with page.block.sealed_view() as data:
+                        shipped = self.network.ship_page(
+                            worker_id, peer.worker_id, data
+                        )
+                        peer.storage.create_set(
+                            key[0], key[1], type_name=page_set.type_name,
+                            page_size=page_set.page_size,
+                            layout=page_set.layout, schema=page_set.schema,
+                        ).adopt_page_bytes(shipped)
                 finally:
                     dead.storage.pool.unpin(page_id)
-                peer = survivors[(moved + index) % len(survivors)]
-                shipped = self.network.ship_page(
-                    worker_id, peer.worker_id, data
-                )
-                peer.storage.create_set(
-                    key[0], key[1], type_name=page_set.type_name,
-                    page_size=page_set.page_size, layout=page_set.layout,
-                    schema=page_set.schema,
-                )
-                peer.storage.get_set(*key).adopt_page_bytes(shipped)
             moved += len(page_set.page_ids)
             if meta is not None and worker_id in meta.partitions:
                 self.catalog.set_partitions(
@@ -914,7 +913,7 @@ class ClusterLoader:
         # it on the set's ring replicas, and records the placement in the
         # catalog's (journaled) replica map.
         self.cluster.replication.store_page(
-            self.database, self.set_name, self._block.to_bytes(),
+            self.database, self.set_name, self._block.sealed_view(),
             len(self._root), source="client",
         )
         self.pages_shipped += 1
@@ -1034,7 +1033,7 @@ class ColumnarClusterLoader:
             registry=self.cluster.catalog.registry,
         )
         self.cluster.replication.store_page(
-            self.database, self.set_name, page.block.to_bytes(),
+            self.database, self.set_name, page.block.sealed_view(),
             len(page), source="client",
         )
         self._buffered -= take

@@ -158,22 +158,6 @@ class _StagesView:
         self.stages = stages
 
 
-def _disown(shm):
-    """Detach a segment from this process's resource tracker.
-
-    The coordinator owns every segment's lifecycle (it created them and
-    unlinks them on eviction/close); left registered here, the child's
-    tracker would unlink segments the coordinator still serves at child
-    exit.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001  # pcsan: disable=PC005
-        pass  # tracker internals vary by version; worst case is a warning
-
-
 #: (shm, view) pairs whose buffers were still referenced at detach time
 #: (e.g. numpy views created by user stages); re-tried after later tasks.
 _lingering = []
@@ -220,8 +204,12 @@ def _source_batches(source, engine, registry, attachments):
     if kind == "pages":
         blocks = []
         for name, size in source[1]:
+            # Attaching re-registers the name with the resource tracker
+            # this spawned child shares with the coordinator: a no-op,
+            # the create registered it.  The coordinator's unlink is the
+            # only unregister; a second one from here makes the tracker
+            # raise KeyError.
             shm = shared_memory.SharedMemory(name=name)
-            _disown(shm)
             # shm.buf is the mapped segment, not a PC block's
             # backing store; the block façade is built over it below.
             view = memoryview(shm.buf)[:size]  # pcsan: disable=PC002

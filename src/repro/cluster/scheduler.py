@@ -1366,9 +1366,10 @@ class DistributedScheduler:
         """Move one hash partition of pre-aggregated data src -> dst.
 
         When the aggregation declares PC key/value descriptors, the
-        partition travels as a real PC Map on a combiner page: the bytes
-        are shipped verbatim, and the receiver reads the Map out of the
-        arrived page with no deserialization (Figure 5).
+        partition travels as a real PC Map on a combiner page: the sealed
+        page's bytes are shipped verbatim with no copy, and the receiver
+        reads the Map where the bytes arrived, with no rebuild and no
+        deserialization (Figure 5).
         """
         network = self.cluster.network
         if comp.key_type is not None and comp.value_type is not None:
@@ -1392,14 +1393,14 @@ class DistributedScheduler:
                     if shipped == 0:
                         raise
                 block.set_root(handle.offset, handle.type_code)
-                payload = block.to_bytes()
+                payload = block.sealed_view()
                 # Checksummed transfer: a corrupted combiner page is
                 # detected on receipt and re-sent, never merged.
                 data = network.ship_page(
                     src.worker_id, dst.worker_id, payload,
                     checksum=page_checksum(payload),
                 )
-                arrived = AllocationBlock.from_bytes(
+                arrived = AllocationBlock.attach_sealed(
                     data, registry=dst.local_catalog.registry
                 )
                 offset, _code = arrived.root()

@@ -25,9 +25,12 @@ inside a block:
   next ``make_object`` of the same type.
 
 The bytes of the block are the only authoritative object representation:
-:meth:`AllocationBlock.to_bytes` / :meth:`AllocationBlock.from_bytes`
-implement the paper's zero-cost data movement — a straight memory copy
-with no per-object work.
+:meth:`AllocationBlock.sealed_view` hands out a sealed block's used prefix
+with no copy at all (for hashing, spilling and shipping), and
+:meth:`AllocationBlock.from_bytes` / :meth:`AllocationBlock.attach_sealed`
+rebuild or read it where it arrives — the paper's zero-cost data movement,
+with no per-object work.  :meth:`AllocationBlock.to_bytes` is the owned
+copy, for bytes that must outlive the block.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ class AllocationBlock:
         "_m_allocs",
         "_m_frees",
         "_san",
+        "__weakref__",  # the sanitizer's shadow points back weakly
     )
 
     def __init__(self, size, policy=LIGHTWEIGHT_REUSE, registry=None,
@@ -360,11 +364,24 @@ class AllocationBlock:
 
     # -- zero-cost movement ---------------------------------------------------
 
-    def to_bytes(self):
-        """The block's entire representation as immutable bytes.
+    def sealed_view(self):
+        """A read-only, no-copy view of the sealed block's used prefix.
 
-        This is the paper's zero-cost data movement: no per-object work,
-        just one memory copy of the occupied prefix (plus header).
+        The same bytes :meth:`to_bytes` copies, as a byte-format
+        ``memoryview`` over the live buffer — for hashing, spilling or
+        shipping a page without copying it.  The view is valid only while
+        the block's page stays pinned; release it (``with`` works) before
+        unpinning, and take :meth:`to_bytes` where bytes must escape.
+        """
+        if self._san is not None:
+            self._san.on_seal()
+        return memoryview(self.buf)[: self.used].toreadonly()
+
+    def to_bytes(self):
+        """The block's entire representation as immutable, owned bytes.
+
+        One memory copy of the occupied prefix (plus header), no
+        per-object work; :meth:`sealed_view` is the same bytes uncopied.
         """
         if self._san is not None:
             self._san.on_seal()
@@ -391,6 +408,33 @@ class AllocationBlock:
             metrics=metrics,
         )
         return block
+
+    @classmethod
+    def attach_sealed(cls, data, registry=None):
+        """Read a shipped used prefix in place: no copy, no rebuild.
+
+        ``data`` is what :meth:`sealed_view` or :meth:`to_bytes` produced
+        on the sender.  The block wraps a read-only view of it, so it is
+        *un-managed* and any write raises ``TypeError``; the view is only
+        as long as the used prefix, which is all a reader touches.  This
+        is how a receiver reads a combiner page's Map where it arrives
+        (Figure 5) instead of rebuilding a full block with
+        :meth:`from_bytes`.
+        """
+        view = memoryview(data).toreadonly()
+        block_size, used, _active, policy = layout.unpack_block_header(view)
+        if len(view) != used:
+            raise ValueError(
+                "sealed prefix of %d bytes does not match its used size %d"
+                % (len(view), used)
+            )
+        return cls(
+            block_size,
+            policy=policy,
+            registry=registry,
+            managed=False,
+            buf=view,
+        )
 
     @classmethod
     def from_buffer(cls, buf, registry=None, managed=False, metrics=None):

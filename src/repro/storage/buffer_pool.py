@@ -473,11 +473,13 @@ class BufferPool:
         self._c_evictions.inc()
         if page.dirty or page.page_id not in self._spilled:
             path = os.path.join(self._spill_dir, "page-%d" % page.page_id)
-            data = page.to_bytes()
-            with open(path, "wb") as f:
-                f.write(data)
+            # The view is released before _drop_block below unmaps the
+            # page's shared-memory segment.
+            with page.block.sealed_view() as data:
+                with open(path, "wb") as f:
+                    f.write(data)
+                self._spill_checksums[page.page_id] = page_checksum(data)
             self._spilled[page.page_id] = path
-            self._spill_checksums[page.page_id] = page_checksum(data)
             self._c_spills.inc()
             page.dirty = False
         self._in_memory_bytes -= page.size
@@ -502,7 +504,7 @@ class BufferPool:
         # Guard against re-entrancy: if the page still sits in the LRU
         # (pin_count 0, bytes dropped), _make_room below could pick it as
         # its own eviction victim — double-decrementing the budget and
-        # crashing on to_bytes() of a block-less page.
+        # crashing on sealed_view() of a block-less page.
         self._lru.pop(page.page_id, None)
         with open(path, "rb") as f:
             data = f.read()

@@ -44,10 +44,6 @@ class Page:
         """False once the page's bytes have been spilled and dropped."""
         return self.block is not None
 
-    def to_bytes(self):
-        """Zero-cost representation of the page (block bytes verbatim)."""
-        return self.block.to_bytes()
-
     @classmethod
     def from_bytes(cls, page_id, data, registry=None, set_key=None,
                    metrics=None):

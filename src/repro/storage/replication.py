@@ -5,7 +5,10 @@ front-ends; this module adds the redundancy layer on top:
 
 * every sealed page is stamped with a CRC32 over its bytes — the
   integrity reference each copy is verified against on every spill
-  reload, network receipt, and replicated read;
+  reload, network receipt, and replicated read.  Checksums and shipments
+  read a pinned page's no-copy
+  :meth:`~repro.memory.block.AllocationBlock.sealed_view`, so the only
+  copy a transfer makes is the receiver's adopt;
 * ``create_set(..., replication=k)`` places each page on ``k`` workers
   chosen by a deterministic :class:`PlacementRing`, written synchronously
   at load/materialization time;
@@ -22,6 +25,7 @@ both on the manager and into the active trace span.
 
 from __future__ import annotations
 
+import contextlib
 import zlib
 
 from repro.errors import (
@@ -37,7 +41,11 @@ _ROOT_VECTOR = VectorType(AnyObject)
 
 
 def page_checksum(data):
-    """CRC32 of a page's bytes (the integrity stamp)."""
+    """CRC32 of a page's bytes (the integrity stamp).
+
+    ``data`` is any contiguous byte buffer — owned bytes or a page's
+    no-copy sealed view.
+    """
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
@@ -147,7 +155,8 @@ class ReplicationManager:
     def store_page(self, database, name, data, count, source="client"):
         """Place one loaded page on its primary plus ring replicas.
 
-        Used by the bulk loader: the page's bytes are shipped verbatim to
+        Used by the bulk loader: the page's bytes (its sealed view; each
+        receiver's adopt is the one copy) are shipped verbatim to
         ``replication`` workers chosen by the placement ring, adopted into
         each worker's partition, and recorded in the catalog's replica map
         (checksummed, journaled).  Returns the :class:`PageRecord`.
@@ -191,23 +200,19 @@ class ReplicationManager:
         for page_id in page_ids:
             page = server.pool.pin(page_id)
             try:
-                data = page.to_bytes()
+                with page.block.sealed_view() as data:
+                    checksum = page_checksum(data)
+                    page.checksum = checksum
+                    replicas = [[worker_id, page_id]]
+                    for peer_id in targets[1:]:
+                        replicas.append([peer_id, self._ship_copy(
+                            database, name, worker_id, peer_id, data,
+                            checksum,
+                        )])
+                        self._c_replica_writes.inc()
             finally:
                 server.pool.unpin(page_id)
-            checksum = page_checksum(data)
-            page.checksum = checksum
             count = page_set.page_object_count(page_id)
-            replicas = [[worker_id, page_id]]
-            for peer_id in targets[1:]:
-                delivered = self.network.ship_page(
-                    worker_id, peer_id, data, checksum=checksum
-                )
-                peer = self.storage_manager.server(peer_id)
-                peer_pid = peer.get_set(database, name).adopt_page_bytes(
-                    delivered, count_objects=False
-                )
-                replicas.append([peer_id, peer_pid])
-                self._c_replica_writes.inc()
             records.append(self.catalog.record_page(
                 database, name, replicas, checksum, count, primary=worker_id
             ))
@@ -304,23 +309,42 @@ class ReplicationManager:
                 for handle in root:
                     yield handle
 
-    def _verified_bytes(self, database, name, record, worker_id, page_id):
-        """A replica's bytes iff they pass the CRC check, else None."""
+    def _ship_copy(self, database, name, src, dst, data, checksum):
+        """Ship page bytes ``src -> dst`` and adopt them as a replica.
+
+        The adopt on ``dst`` is the transfer's one copy; returns the new
+        copy's page id there.
+        """
+        delivered = self.network.ship_page(src, dst, data, checksum=checksum)
+        peer = self.storage_manager.server(dst)
+        return peer.get_set(database, name).adopt_page_bytes(
+            delivered, count_objects=False
+        )
+
+    @contextlib.contextmanager
+    def _verified_view(self, record, worker_id, page_id):
+        """A replica's sealed view iff it passes the CRC check, else None.
+
+        The copy stays pinned for the with-block, so the view is only
+        used while it is valid.
+        """
         server = self.storage_manager.server(worker_id)
         try:
             page = server.pool.pin(page_id)
         except PageCorruptionError:
             self._note_checksum_failure(record, worker_id)
-            return None
+            yield None
+            return
         try:
-            data = page.to_bytes()
+            with page.block.sealed_view() as data:
+                if record.checksum is not None and \
+                        page_checksum(data) != record.checksum:
+                    self._note_checksum_failure(record, worker_id)
+                    yield None
+                else:
+                    yield data
         finally:
             server.pool.unpin(page_id)
-        if record.checksum is not None and \
-                page_checksum(data) != record.checksum:
-            self._note_checksum_failure(record, worker_id)
-            return None
-        return data
 
     def _note_checksum_failure(self, record, worker_id):
         self._c_checksum_failures.inc()
@@ -342,21 +366,19 @@ class ReplicationManager:
         server = self.storage_manager.server(reader)
         page_set = server.get_set(database, name)
         local = dict((w, p) for w, p in record.replicas)[reader]
-        data = self._verified_bytes(database, name, record, reader, local)
-        if data is not None:
-            return page_set, local
+        with self._verified_view(record, reader, local) as data:
+            if data is not None:
+                return page_set, local
         for peer_id, peer_pid in self._live_replicas(record):
             if peer_id == reader:
                 continue
-            data = self._verified_bytes(
-                database, name, record, peer_id, peer_pid
-            )
-            if data is None:
-                continue
-            delivered = self.network.ship_page(
-                peer_id, reader, data, checksum=record.checksum
-            )
-            healed_pid = page_set.replace_page_bytes(local, delivered)
+            with self._verified_view(record, peer_id, peer_pid) as data:
+                if data is None:
+                    continue
+                delivered = self.network.ship_page(
+                    peer_id, reader, data, checksum=record.checksum
+                )
+                healed_pid = page_set.replace_page_bytes(local, delivered)
             replicas = [
                 [w, healed_pid if w == reader else p]
                 for w, p in record.replicas
@@ -417,24 +439,21 @@ class ReplicationManager:
                 local = dict(
                     (w, p) for w, p in record.replicas
                 )[worker_id]
-                page = evacuate_from.pool.pin(local)
-                try:
-                    data = page.to_bytes()
-                finally:
-                    evacuate_from.pool.unpin(local)
                 target = ring.rereplication_target(uid, {worker_id})
                 if target is None:
                     raise ReplicationError(
                         "no surviving worker can take page %s of %s.%s"
                         % (uid, database, name)
                     )
-                delivered = self.network.ship_page(
-                    worker_id, target, data, checksum=record.checksum
-                )
-                peer = self.storage_manager.server(target)
-                peer_pid = peer.get_set(database, name).adopt_page_bytes(
-                    delivered, count_objects=False
-                )
+                page = evacuate_from.pool.pin(local)
+                try:
+                    with page.block.sealed_view() as data:
+                        peer_pid = self._ship_copy(
+                            database, name, worker_id, target, data,
+                            record.checksum,
+                        )
+                finally:
+                    evacuate_from.pool.unpin(local)
                 survivors = [[target, peer_pid]]
                 moved += 1
             self.catalog.update_page_replicas(database, name, uid, survivors)
@@ -476,26 +495,24 @@ class ReplicationManager:
                     if target is None:
                         break
                     src_id, src_pid = record.replicas[0]
-                    data = self._verified_bytes(
-                        meta.database, meta.name, record, src_id, src_pid
+                    peer_pid = self._copy_verified(
+                        meta, record, src_id, src_pid, target
                     )
-                    if data is None:
+                    if peer_pid is None:
                         # Source copy is corrupt: heal through the read
                         # path first, then copy from the healed bytes.
                         _page_set, healed = self._healthy_copy(
                             meta.database, meta.name, record, src_id
                         )
                         record = meta.pages[uid]
-                        data = self._verified_bytes(
-                            meta.database, meta.name, record, src_id, healed
+                        peer_pid = self._copy_verified(
+                            meta, record, src_id, healed, target
                         )
-                    delivered = self.network.ship_page(
-                        src_id, target, data, checksum=record.checksum
-                    )
-                    peer = self.storage_manager.server(target)
-                    peer_pid = peer.get_set(
-                        meta.database, meta.name
-                    ).adopt_page_bytes(delivered, count_objects=False)
+                    if peer_pid is None:
+                        raise ReplicationError(
+                            "page %s of %s failed its CRC32 check again "
+                            "right after healing" % (uid, meta.qualified_name)
+                        )
                     record = self.catalog.update_page_replicas(
                         meta.database, meta.name, uid,
                         record.replicas + [[target, peer_pid]],
@@ -504,6 +521,20 @@ class ReplicationManager:
                     created += 1
                     self._c_re_replications.inc()
         return created
+
+    def _copy_verified(self, meta, record, src_id, src_pid, target):
+        """Copy one replica to ``target`` if it passes its CRC check.
+
+        Returns the new copy's page id on ``target``, or None when the
+        source copy is corrupt.
+        """
+        with self._verified_view(record, src_id, src_pid) as data:
+            if data is None:
+                return None
+            return self._ship_copy(
+                meta.database, meta.name, src_id, target, data,
+                record.checksum,
+            )
 
     def replication_factors(self, database, name):
         """``uid -> live copy count`` (tests assert full factor restored)."""

@@ -163,6 +163,11 @@ def test_pc009_fires_on_late_writes_only():
     assert "'page'" in messages and "'block'" in messages
 
 
+def test_pc009_treats_sealed_view_as_a_seal():
+    findings = run_lint([fixture("pc009_write_after_view.py")])
+    assert [(f.code, f.line) for f in findings] == [("PC009", 7)]
+
+
 def test_fixture_tree_violates_every_rule():
     codes = {f.code for f in run_lint([FIXTURES])}
     assert codes == {

@@ -12,11 +12,18 @@ blacklist a hopeless worker and degrade onto its peers.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.cluster import FakeClock, FaultInjector, PCCluster, RetryPolicy
 from repro.core import AggregateComp, ObjectReader, Writer, lambda_from_member
-from repro.errors import ExecutionError, TransferDroppedError, WorkerCrashError
+from repro.errors import (
+    ExecutionError,
+    PageCorruptionError,
+    TransferDroppedError,
+    WorkerCrashError,
+)
+from repro.lillinalg import DistributedMatrix
 from repro.memory import Float64, Int32, Int64, PCObject
 
 
@@ -187,6 +194,41 @@ def test_dropped_transfer_with_retries_disabled_raises(tmp_path):
     injector.drop_transfer(times=1)
     with pytest.raises(TransferDroppedError):
         run_aggregation(cluster)
+
+
+def _gram(cluster, injector=None):
+    """A lilLinAlg Gram job, X'X, whose shuffle ships combiner pages."""
+    x = np.random.default_rng(3).normal(size=(24, 8))
+    matrix = DistributedMatrix.from_numpy(cluster, "lla", x, 4, 4)
+    if injector is not None:
+        # Scripted after the load, so the first page transfer to flip is
+        # a combiner page of the Gram job's aggregation shuffle.
+        injector.corrupt_transfer(times=1)
+    return matrix.transpose_multiply(matrix).to_numpy()
+
+
+def test_corrupt_combiner_page_is_resent_byte_identical(tmp_path):
+    clean = _gram(make_cluster(tmp_path, "clean"))
+    injector = FaultInjector()
+    cluster = make_cluster(
+        tmp_path, "c", injector=injector,
+        policy=fast_policy(FakeClock(), transfer_retries=2),
+    )
+    result = _gram(cluster, injector)
+    assert injector.counts["transfer_corruptions"] == 1
+    assert cluster.network.transfers_corrupted == 1
+    assert cluster.network.transfer_retries == 1
+    assert result.tobytes() == clean.tobytes()
+
+
+def test_corrupt_combiner_page_with_retries_disabled_raises(tmp_path):
+    injector = FaultInjector()
+    cluster = make_cluster(
+        tmp_path, "c", injector=injector, policy=RetryPolicy.disabled()
+    )
+    with pytest.raises(PageCorruptionError):
+        _gram(cluster, injector)
+    assert injector.counts["transfer_corruptions"] == 1
 
 
 def test_delayed_transfers_are_accounted_not_slept(tmp_path):

@@ -11,6 +11,11 @@ PC004-compliant metric, and an injected crash racing an in-flight
 shuffle produces byte-identical TPC-H results on both transports.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.cluster import (
@@ -196,8 +201,6 @@ def test_refork_racing_inflight_shuffle_is_byte_identical(
     not remote_available(), reason="cloudpickle unavailable"
 )
 def test_process_transport_runs_real_child_processes(tmp_path):
-    import os
-
     root = tmp_path / "proc"
     root.mkdir()
     cluster = PCCluster(
@@ -212,3 +215,45 @@ def test_process_transport_runs_real_child_processes(tmp_path):
     assert pids, "no task ran in a child process"
     assert os.getpid() not in pids
     cluster.close()
+
+
+# -- shutdown hygiene ---------------------------------------------------------------------
+
+_ONE_PROCESS_JOB = textwrap.dedent("""
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+    from test_fault_tolerance import (
+        expected_sums, load_points, run_aggregation,
+    )
+    from repro.cluster import PCCluster
+
+    if __name__ == "__main__":
+        with PCCluster(n_workers=2, page_size=1 << 12,
+                       spill_root=sys.argv[2], transport="process") as cluster:
+            load_points(cluster, n=300)
+            assert run_aggregation(cluster) == expected_sums(n=300)
+            assert any(w.backend.child_pid for w in cluster.workers)
+        print("ok")
+""")
+
+
+@pytest.mark.skipif(
+    not remote_available(), reason="cloudpickle unavailable"
+)
+def test_process_transport_exits_without_tracebacks(tmp_path):
+    """Children attach to shared-memory pages, yet interpreter exit
+    (resource tracker included) prints nothing to stderr."""
+    script = tmp_path / "one_job.py"
+    script.write_text(_ONE_PROCESS_JOB)
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, str(script), os.path.dirname(__file__), str(spill)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+    assert "Traceback" not in done.stderr, done.stderr

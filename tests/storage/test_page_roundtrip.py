@@ -7,6 +7,8 @@ object populations, every hop returns the exact sealed bytes (equal
 CRC32, equal values), and the corruption hooks are *detectable* — a
 flipped payload never checksums clean, and a checksummed transfer either
 re-sends its way to the pristine bytes or raises, never delivers damage.
+The no-copy sealed view is held to the same bytes as the owned copy, on
+object (combiner Map) and columnar pages alike.
 """
 
 from hypothesis import given, settings
@@ -18,7 +20,19 @@ from repro.catalog import CatalogManager, LocalCatalog
 from repro.cluster import FaultInjector, RetryPolicy
 from repro.cluster.network import SimulatedNetwork
 from repro.errors import PageCorruptionError
-from repro.memory import Float64, Int32, PCObject, String, VectorType
+from repro.memory import (
+    AllocationBlock,
+    ColumnarPage,
+    Float64,
+    Int32,
+    Int64,
+    MapType,
+    PCObject,
+    String,
+    VectorType,
+)
+from repro.memory.objects import make_object_on
+from repro.schema import Schema, f64, i64
 from repro.storage import (
     LocalStorageServer,
     corrupt_bytes,
@@ -77,7 +91,7 @@ def test_ship_and_adopt_roundtrip_is_byte_identical(tmp_path_factory, records):
     checksums = []
     for page_id in src.page_ids:
         with src.pinned_page(page_id) as page:
-            data = page.to_bytes()
+            data = page.block.to_bytes()
         checksum = page_checksum(data)
         delivered = network.ship_page("a", "b", data, checksum=checksum)
         assert delivered == data  # byte-identical arrival
@@ -85,7 +99,7 @@ def test_ship_and_adopt_roundtrip_is_byte_identical(tmp_path_factory, records):
         checksums.append((pid, checksum))
     for pid, checksum in checksums:
         with dst.pinned_page(pid) as page:
-            assert page_checksum(page.to_bytes()) == checksum
+            assert page_checksum(page.block.to_bytes()) == checksum
     assert _values(dst) == _values(src) == [
         (pid, name, xs) for pid, name, xs in records
     ]
@@ -106,12 +120,12 @@ def test_spill_reload_roundtrip_is_checksum_identical(
     sealed = {}
     for page_id in page_set.page_ids:
         with page_set.pinned_page(page_id) as page:
-            sealed[page_id] = page_checksum(page.to_bytes())
+            sealed[page_id] = page_checksum(page.block.to_bytes())
     # Walking every page through a 3-page pool evicts and reloads; each
     # reload must hand back exactly the sealed bytes.
     for page_id in page_set.page_ids:
         with page_set.pinned_page(page_id) as page:
-            assert page_checksum(page.to_bytes()) == sealed[page_id]
+            assert page_checksum(page.block.to_bytes()) == sealed[page_id]
     assert _values(page_set) == [(p, n, xs) for p, n, xs in records]
 
 
@@ -159,3 +173,112 @@ def test_unchecksummed_transfer_delivers_flipped_bytes():
     network = SimulatedNetwork(fault_injector=injector)
     data = b"sealed page bytes"
     assert network.ship_page("a", "b", data) == corrupt_bytes(data)
+
+
+# -- the no-copy sealed view --------------------------------------------------
+
+COMBINER = MapType(Int64, VectorType(Float64))
+COLUMNS = Schema([("key", i64), ("x", f64)])
+
+combiner_items = st.dictionaries(
+    st.integers(-(2 ** 40), 2 ** 40),
+    st.lists(st.integers(-1000, 1000).map(float), max_size=6),
+    min_size=1, max_size=40,
+)
+column_rows = st.lists(
+    st.tuples(st.integers(-(2 ** 40), 2 ** 40),
+              st.integers(-1000, 1000).map(lambda v: v / 4.0)),
+    min_size=1, max_size=80,
+)
+
+
+def _combiner_block(items):
+    """A sealed combiner page: a PC Map at the root, as the shuffle ships."""
+    block = AllocationBlock(1 << 16)
+    handle = make_object_on(block, COMBINER, None)
+    combiner = handle.deref()
+    for key, values in items.items():
+        combiner.put(key, values)
+    block.set_root(handle.offset, handle.type_code)
+    return block
+
+
+def _columnar_block(rows):
+    columns = {"key": [k for k, _x in rows], "x": [x for _k, x in rows]}
+    return ColumnarPage.build(COLUMNS, columns, 1 << 16).block
+
+
+def _combiner_contents(block):
+    offset, _code = block.root()
+    return sorted(
+        (key, list(values))
+        for key, values in COMBINER.facade(block, offset).items()
+    )
+
+
+def _columnar_contents(block):
+    page = ColumnarPage.attach(block)
+    return [page.column(name).tolist() for name in page.names()]
+
+
+PAGE_KINDS = {
+    "object": (combiner_items, _combiner_block, _combiner_contents),
+    "columnar": (column_rows, _columnar_block, _columnar_contents),
+}
+
+
+def _property(kind, max_examples=25):
+    """Run the decorated check on hypothesis-built pages of ``kind``."""
+    strategy, build, _read = PAGE_KINDS[kind]
+
+    def decorate(check):
+        return settings(max_examples=max_examples, deadline=None)(
+            given(strategy.map(build))(check)
+        )
+    return decorate
+
+
+@pytest.mark.parametrize("kind", sorted(PAGE_KINDS))
+def test_sealed_view_is_the_used_prefix_uncopied(kind):
+    @_property(kind)
+    def check(block):
+        view = block.sealed_view()
+        assert view.format == "B" and view.readonly
+        assert len(view) == block.used
+        assert page_checksum(view) == page_checksum(block.to_bytes())
+        assert view.obj is block.buf  # a view over the page, not a copy
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(PAGE_KINDS))
+def test_writing_into_a_sealed_view_raises(kind):
+    @_property(kind, max_examples=10)
+    def check(block):
+        view = block.sealed_view()
+        before = block.to_bytes()
+        with pytest.raises(TypeError):
+            view[0] = 0
+        with pytest.raises(TypeError):
+            view[len(view) // 2:] = bytes(len(view) - len(view) // 2)
+        assert block.to_bytes() == before
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(PAGE_KINDS))
+def test_arrived_bytes_read_in_place_match_from_bytes(kind):
+    """attach_sealed reads what from_bytes rebuilds, without the rebuild."""
+    _strategy, _build, read = PAGE_KINDS[kind]
+
+    @_property(kind)
+    def check(block):
+        arrived = SimulatedNetwork().ship_page(
+            "a", "b", block.sealed_view(), checksum=page_checksum(
+                block.to_bytes()
+            ),
+        )
+        in_place = AllocationBlock.attach_sealed(arrived)
+        assert not in_place.managed
+        assert read(in_place) == read(AllocationBlock.from_bytes(arrived))
+        with pytest.raises(TypeError):
+            in_place.set_root(0, 0)
+    check()

@@ -91,7 +91,7 @@ def test_page_bytes_move_between_workers(tmp_path):
     dst = bob.create_set("db", "s", "Point")
     for page_id in src.page_ids:
         with src.pinned_page(page_id) as page:
-            dst.adopt_page_bytes(page.to_bytes())
+            dst.adopt_page_bytes(page.block.to_bytes())
     values = [(h.pid, h.name) for h in dst.scan_objects()]
     assert values == [(i, "n%d" % i) for i in range(10)]
     # Bob's process had never seen Point: the catalog fetch path fired.
