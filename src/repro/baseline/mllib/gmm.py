@@ -52,7 +52,7 @@ def _gaussian_pdf(points, mean, precision):
     d = points.shape[1]
     inv, logdet = precision
     delta = points - mean
-    mahalanobis = np.einsum("ij,jk,ik->i", delta, inv, delta)
+    mahalanobis = ((delta @ inv) * delta).sum(1)
     log_p = -0.5 * (mahalanobis + logdet + d * np.log(2 * np.pi))
     return np.exp(log_p)
 

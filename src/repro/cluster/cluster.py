@@ -664,8 +664,8 @@ class PCCluster:
         results = []
         if self.replication.has_page_map(database, set_name):
             # Replica-map governed set: each page is read once, from its
-            # first live replica, checksum-verified (and healed) on the
-            # way — the failover read path.
+            # first live replica, healed on the way if its spill reload
+            # fails the CRC — the failover read path.
             results.extend(self.replication.scan_objects(database, set_name))
         else:
             for partition in self.storage_manager.partitions(

@@ -341,7 +341,10 @@ def _execute(spec, task_id=0, recorder=None):
     context = spec.get("trace_ctx") or {}
     if context.get("trace_id"):
         tracer.trace_id = context["trace_id"]
-    with tracer.span("task-%d" % task_id, kind="task") as root:
+    # Named after the worker the coordinator dispatched to, so every
+    # ``kind="task"`` span in the merged trace is a worker's.
+    with tracer.span(context.get("worker_id", "task-%d" % task_id),
+                     kind="task", detail="task %d" % task_id) as root:
         root.pid = os.getpid()
         root.parent_id = context.get("parent_span_id")
         engine = PipelineEngine(

@@ -78,7 +78,9 @@ from repro.memory.block import AllocationBlock
 from repro.memory.builtins import MapType, stable_hash
 from repro.memory.objects import make_object_on
 from repro.obs.tracer import Span
-from repro.storage.replication import page_checksum
+# Not called here since combiner pages ship unstamped; kept bound because
+# profilers that rebind every module alias of the CRC look it up here.
+from repro.storage.replication import page_checksum  # noqa: F401
 from repro.tcap.ir import ApplyStmt, JoinStmt, OutputStmt
 from repro.tcap.verify import verify_program
 
@@ -841,11 +843,13 @@ class DistributedScheduler:
             "sink": sink_spec,
             "hash_tables": tables,
             # Trace context (DESIGN §14): the child's task span adopts
-            # this job's trace id and hangs off the span open at build
-            # time (the stage span; grafting re-parents onto the task
-            # span the coordinator opens around the dispatch).
+            # this job's trace id and worker name, and hangs off the span
+            # open at build time (the stage span; grafting re-parents
+            # onto the task span the coordinator opens around the
+            # dispatch).
             "trace_ctx": {
                 "trace_id": self.tracer.trace_id,
+                "worker_id": worker.worker_id,
                 "parent_span_id": active.span_id if active is not None
                 else None,
             },
@@ -1393,12 +1397,11 @@ class DistributedScheduler:
                     if shipped == 0:
                         raise
                 block.set_root(handle.offset, handle.type_code)
-                payload = block.sealed_view()
-                # Checksummed transfer: a corrupted combiner page is
-                # detected on receipt and re-sent, never merged.
+                # Combiner pages are never stored, so they carry no
+                # stamp: when the network can corrupt bytes, ship_page
+                # checksums the sent page and verifies its receipt.
                 data = network.ship_page(
-                    src.worker_id, dst.worker_id, payload,
-                    checksum=page_checksum(payload),
+                    src.worker_id, dst.worker_id, block.sealed_view()
                 )
                 arrived = AllocationBlock.attach_sealed(
                     data, registry=dst.local_catalog.registry

@@ -276,18 +276,25 @@ class Transport:
     def ship_page(self, src, dst, data, checksum=None):
         """Move a PC page's bytes; zero serialization on either end.
 
-        With a ``checksum`` (the page's sealed CRC32), the arrived bytes
-        are verified on receipt: a corrupted arrival is re-sent within
-        the transfer retry budget and raises
+        Receipt is a trust boundary only when the network can alter
+        bytes.  Without a fault injector no verdict but ``deliver`` is
+        possible and the receiver gets the sender's own buffer, so no
+        checksum is computed.  With one, every arrival is verified
+        against ``checksum`` (the page's sealed CRC32; computed here
+        from the sent bytes when the caller passes none): a corrupted
+        arrival is re-sent within the transfer retry budget and raises
         :class:`~repro.errors.PageCorruptionError` once it is exhausted,
-        so corrupted bytes are never handed to the receiver.  Without a
-        checksum, a corrupted payload is delivered as-is — downstream
-        integrity checks (spill reload, replicated reads) catch it.
+        so corrupted bytes are never handed to the receiver.
         """
         nbytes = len(data)
         if self.recorder is not None:
             self.recorder.record("net.page_ship", src=src, dst=dst,
                                  bytes=nbytes)
+        if self.fault_injector is None:
+            self._deliver(src, dst, nbytes, self._c_bytes_zero_copy)
+            return data
+        if checksum is None:
+            checksum = page_checksum(data)
         attempts = 0
         while True:
             verdict = self._deliver(src, dst, nbytes, self._c_bytes_zero_copy)
@@ -295,7 +302,7 @@ class Transport:
             if verdict == "corrupt":
                 payload = corrupt_bytes(data)
                 self._c_transfers_corrupted.inc()
-            if checksum is None or page_checksum(payload) == checksum:
+            if page_checksum(payload) == checksum:
                 return payload
             budget = self._retry_budget()
             if attempts >= budget:
@@ -568,7 +575,7 @@ class _PendingFuture:
                 "back-end process of worker %r died: %s"
                 % (worker_id, payload)
             )
-        outcome = self._child.post_mortem_outcome(self._task_id)
+        outcome = self._child.post_mortem_outcome(self._task_id, worker_id)
         if outcome is not None:
             self._error.remote_outcome = outcome
         # When the death was detected, for recovery-latency accounting
@@ -676,7 +683,7 @@ class _ChildProcess:
             self.clock_offset, self.clock_error_s = best, interval
         return self.clock_offset, self.clock_error_s
 
-    def post_mortem_outcome(self, task_id):
+    def post_mortem_outcome(self, task_id, worker_id):
         """Synthesize the evidence for a task whose child never answered.
 
         A SIGKILLed child ships nothing, but the master still has the
@@ -698,10 +705,10 @@ class _ChildProcess:
             if ts >= submitted - self.beat_interval_s:
                 events.append(dict(event, ts=ts - submitted))
         span = {
-            "name": "task-%d" % task_id,
+            "name": worker_id,
             "kind": "task",
-            "detail": "synthesized by the coordinator: the back-end died "
-                      "without delivering",
+            "detail": "task %d synthesized by the coordinator: the "
+                      "back-end died without delivering" % task_id,
             "start_s": 0.0,
             "duration_s": now - submitted,
             "counters": {"sup.rows_consumed": int(self.heartbeat[BEAT_ROWS])},

@@ -46,7 +46,7 @@ def _log_gaussians(points, weights, means, precisions):
     for j in range(k):
         inv, logdet = precisions[j]
         delta = points - means[j]
-        mahalanobis = np.einsum("ij,jk,ik->i", delta, inv, delta)
+        mahalanobis = ((delta @ inv) * delta).sum(1)
         log_p[:, j] = (
             np.log(max(weights[j], 1e-300))
             - 0.5 * (mahalanobis + logdet + d * np.log(2 * np.pi))

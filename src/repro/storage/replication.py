@@ -3,10 +3,19 @@
 PC's storage subsystem keeps a set's pages on the workers' durable
 front-ends; this module adds the redundancy layer on top:
 
-* every sealed page is stamped with a CRC32 over its bytes — the
-  integrity reference each copy is verified against on every spill
-  reload, network receipt, and replicated read.  Checksums and shipments
-  read a pinned page's no-copy
+* every stored page is stamped once, at seal
+  (:meth:`ReplicationManager.store_page` and
+  :meth:`~ReplicationManager.register_local_pages`), with a CRC32 over
+  its bytes, journaled in the catalog's
+  :class:`~repro.catalog.PageRecord`.  Bytes are verified against it
+  only where they can change — the trust boundaries: a spill reload
+  (the buffer pool checks the spill file's CRC), a network receipt when
+  the network can alter bytes (a fault injector is attached), and heal
+  and re-replication, which go through receipt.  A resident sealed
+  page is immutable (the sanitizer and lint rule PC009 guard writes
+  after seal), so a replicated read trusts any copy that pins cleanly
+  instead of re-hashing it.  Checksums and shipments read a pinned
+  page's no-copy
   :meth:`~repro.memory.block.AllocationBlock.sealed_view`, so the only
   copy a transfer makes is the receiver's adopt;
 * ``create_set(..., replication=k)`` places each page on ``k`` workers
@@ -14,9 +23,9 @@ front-ends; this module adds the redundancy layer on top:
   at load/materialization time;
 * the catalog's per-set replica map (``SetMetadata.pages``) is the
   authoritative record of where each page's copies live, so reads can
-  fail over to any live replica, corrupted copies are quarantined and
-  healed from a healthy one, and a node loss triggers re-replication on
-  the survivors instead of data loss.
+  fail over to any live replica, a copy whose spill reload fails its
+  CRC is quarantined and healed from a healthy one, and a node loss
+  triggers re-replication on the survivors instead of data loss.
 
 All activity is counted (``repl.replica_writes``, ``repl.failover_reads``,
 ``repl.checksum_failures``, ``repl.re_replications``, ``repl.pages_healed``)
@@ -321,12 +330,31 @@ class ReplicationManager:
             delivered, count_objects=False
         )
 
-    @contextlib.contextmanager
-    def _verified_view(self, record, worker_id, page_id):
-        """A replica's sealed view iff it passes the CRC check, else None.
+    def _copy_page(self, database, name, server, page_id, dst, checksum):
+        """Ship ``server``'s copy of a page to ``dst`` as a new replica.
 
-        The copy stays pinned for the with-block, so the view is only
-        used while it is valid.
+        The bytes are read through the pinned page's sealed view; returns
+        the new copy's page id on ``dst``.
+        """
+        page = server.pool.pin(page_id)
+        try:
+            with page.block.sealed_view() as data:
+                return self._ship_copy(
+                    database, name, server.worker_id, dst, data, checksum
+                )
+        finally:
+            server.pool.unpin(page_id)
+
+    @contextlib.contextmanager
+    def _pinned_view(self, record, worker_id, page_id):
+        """A replica's sealed view, or None when its copy is corrupt.
+
+        A resident sealed page is immutable, so a copy that pins cleanly
+        is trusted without re-hashing; a spilled copy was CRC-checked by
+        the reload inside ``pin``, which raises
+        :class:`~repro.errors.PageCorruptionError` on a mismatch — that
+        copy is quarantined (None).  The copy stays pinned for the
+        with-block, so the view is only used while it is valid.
         """
         server = self.storage_manager.server(worker_id)
         try:
@@ -337,12 +365,7 @@ class ReplicationManager:
             return
         try:
             with page.block.sealed_view() as data:
-                if record.checksum is not None and \
-                        page_checksum(data) != record.checksum:
-                    self._note_checksum_failure(record, worker_id)
-                    yield None
-                else:
-                    yield data
+                yield data
         finally:
             server.pool.unpin(page_id)
 
@@ -355,10 +378,11 @@ class ReplicationManager:
         )
 
     def _healthy_copy(self, database, name, record, reader):
-        """(page_set, local page id) of a verified copy on ``reader``.
+        """(page_set, local page id) of a healthy copy on ``reader``.
 
-        The reader's local copy is verified first; on corruption, a
-        healthy replica is fetched over the network, the local copy is
+        The reader's local copy is used when it pins cleanly; when its
+        spill reload fails the CRC check, a healthy replica is fetched
+        over the network (verified on receipt), the local copy is
         replaced in place (same scan slot, object counts untouched), and
         the catalog replica map updated.  Only when *every* replica is
         corrupt does the read fail.
@@ -366,13 +390,13 @@ class ReplicationManager:
         server = self.storage_manager.server(reader)
         page_set = server.get_set(database, name)
         local = dict((w, p) for w, p in record.replicas)[reader]
-        with self._verified_view(record, reader, local) as data:
+        with self._pinned_view(record, reader, local) as data:
             if data is not None:
                 return page_set, local
         for peer_id, peer_pid in self._live_replicas(record):
             if peer_id == reader:
                 continue
-            with self._verified_view(record, peer_id, peer_pid) as data:
+            with self._pinned_view(record, peer_id, peer_pid) as data:
                 if data is None:
                     continue
                 delivered = self.network.ship_page(
@@ -445,15 +469,10 @@ class ReplicationManager:
                         "no surviving worker can take page %s of %s.%s"
                         % (uid, database, name)
                     )
-                page = evacuate_from.pool.pin(local)
-                try:
-                    with page.block.sealed_view() as data:
-                        peer_pid = self._ship_copy(
-                            database, name, worker_id, target, data,
-                            record.checksum,
-                        )
-                finally:
-                    evacuate_from.pool.unpin(local)
+                peer_pid = self._copy_page(
+                    database, name, evacuate_from, local, target,
+                    record.checksum,
+                )
                 survivors = [[target, peer_pid]]
                 moved += 1
             self.catalog.update_page_replicas(database, name, uid, survivors)
@@ -494,25 +513,18 @@ class ReplicationManager:
                     target = ring.rereplication_target(uid, holders)
                     if target is None:
                         break
-                    src_id, src_pid = record.replicas[0]
-                    peer_pid = self._copy_verified(
-                        meta, record, src_id, src_pid, target
+                    # A corrupt source copy is healed through the read
+                    # path first; the copy then reads the healed page.
+                    src_id = record.replicas[0][0]
+                    _page_set, src_pid = self._healthy_copy(
+                        meta.database, meta.name, record, src_id
                     )
-                    if peer_pid is None:
-                        # Source copy is corrupt: heal through the read
-                        # path first, then copy from the healed bytes.
-                        _page_set, healed = self._healthy_copy(
-                            meta.database, meta.name, record, src_id
-                        )
-                        record = meta.pages[uid]
-                        peer_pid = self._copy_verified(
-                            meta, record, src_id, healed, target
-                        )
-                    if peer_pid is None:
-                        raise ReplicationError(
-                            "page %s of %s failed its CRC32 check again "
-                            "right after healing" % (uid, meta.qualified_name)
-                        )
+                    record = meta.pages[uid]
+                    peer_pid = self._copy_page(
+                        meta.database, meta.name,
+                        self.storage_manager.server(src_id), src_pid,
+                        target, record.checksum,
+                    )
                     record = self.catalog.update_page_replicas(
                         meta.database, meta.name, uid,
                         record.replicas + [[target, peer_pid]],
@@ -521,20 +533,6 @@ class ReplicationManager:
                     created += 1
                     self._c_re_replications.inc()
         return created
-
-    def _copy_verified(self, meta, record, src_id, src_pid, target):
-        """Copy one replica to ``target`` if it passes its CRC check.
-
-        Returns the new copy's page id on ``target``, or None when the
-        source copy is corrupt.
-        """
-        with self._verified_view(record, src_id, src_pid) as data:
-            if data is None:
-                return None
-            return self._ship_copy(
-                meta.database, meta.name, src_id, target, data,
-                record.checksum,
-            )
 
     def replication_factors(self, database, name):
         """``uid -> live copy count`` (tests assert full factor restored)."""

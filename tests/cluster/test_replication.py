@@ -1,13 +1,14 @@
 """Replicated, checksummed storage: placement, failover, healing, recovery.
 
 ``create_set(..., replication=k)`` keeps ``k`` synchronous copies of
-every sealed page on ring-chosen workers, stamped with a CRC32 the
-storage layer verifies on every spill reload, network receipt, and
-replicated read.  These tests exercise the full durability story: the
-deterministic placement ring, failover reads after a total node loss,
-re-replication back to full factor, quarantine-and-heal of corrupted
-copies, checksummed transfer re-sends, atomic ``create_set``, and
-crash-consistent catalog recovery from the write-ahead journal.
+every sealed page on ring-chosen workers, stamped once with a CRC32 the
+storage layer verifies where bytes can change: on spill reload and, when
+the network can corrupt them, on network receipt.  These tests exercise
+the full durability story: the deterministic placement ring, failover
+reads after a total node loss, re-replication back to full factor,
+quarantine-and-heal of corrupted copies, checksummed transfer re-sends,
+atomic ``create_set``, and crash-consistent catalog recovery from the
+write-ahead journal.
 """
 
 import pytest
@@ -285,6 +286,45 @@ def test_corrupt_transfer_with_retries_disabled_raises(tmp_path):
         with cluster.loader("db", "points") as load:
             for i in range(50):
                 load.append(Point, pid=i, cluster_id=i % 4, x=float(i))
+
+
+def test_decommission_of_unmapped_pages_verifies_receipt(tmp_path):
+    # Pages written in place on a worker, outside the catalog's replica
+    # map, carry no recorded stamp; their evacuation is still verified on
+    # receipt, so a flipped arrival is re-sent and never adopted.
+    injector = FaultInjector()
+    cluster = make_cluster(
+        tmp_path, "c", injector=injector,
+        policy=fast_policy(FakeClock(), transfer_retries=2),
+    )
+    cluster.create_database("db")
+    cluster.create_set("db", "raw", Point)
+    page_set = cluster.workers[0].storage.get_set("db", "raw")
+    with page_set.writer() as writer:
+        for i in range(300):
+            writer.append(Point, pid=i, cluster_id=i % 4, x=float(i))
+    assert not cluster.catalog.set_metadata("db", "raw").pages
+    sealed = []
+    for page_id in page_set.page_ids:
+        with page_set.pinned_page(page_id) as page:
+            sealed.append(page.block.to_bytes())
+    assert len(sealed) > 1
+
+    injector.corrupt_transfer(times=1)
+    assert cluster.decommission_worker("worker-0") == len(sealed)
+
+    assert injector.counts["transfer_corruptions"] == 1
+    assert cluster.network.transfers_corrupted == 1
+    assert cluster.network.transfer_retries == 1
+    adopted = []
+    for worker in cluster.active_workers:
+        survivor = worker.storage.get_set("db", "raw")
+        for page_id in survivor.page_ids:
+            with survivor.pinned_page(page_id) as page:
+                adopted.append(page.block.to_bytes())
+    assert sorted(adopted) == sorted(sealed)
+    assert sorted(h.pid for h in cluster.read("db", "raw")) == \
+        list(range(300))
 
 
 def test_corrupt_bytes_always_changes_the_checksum():

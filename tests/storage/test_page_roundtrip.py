@@ -6,7 +6,8 @@ These hypothesis properties pin the byte-level contract: for arbitrary
 object populations, every hop returns the exact sealed bytes (equal
 CRC32, equal values), and the corruption hooks are *detectable* — a
 flipped payload never checksums clean, and a checksummed transfer either
-re-sends its way to the pristine bytes or raises, never delivers damage.
+re-sends its way to the pristine bytes or raises, never delivers damage
+(an unstamped transfer is stamped from the sent bytes).
 The no-copy sealed view is held to the same bytes as the owned copy, on
 object (combiner Map) and columnar pages alike.
 """
@@ -166,13 +167,27 @@ def test_corrupted_transfer_without_budget_raises():
         network.ship_page("a", "b", data, checksum=page_checksum(data))
 
 
-def test_unchecksummed_transfer_delivers_flipped_bytes():
-    """Without a checksum the network cannot detect the flip — the
-    damaged payload is delivered for downstream checks to catch."""
-    injector = FaultInjector().corrupt_transfer(times=1)
-    network = SimulatedNetwork(fault_injector=injector)
+def test_unstamped_transfer_is_verified_on_receipt():
+    """A transfer the caller did not stamp is stamped from the sent
+    bytes: a flip is detected and re-sent, or raises without a budget —
+    never delivered."""
     data = b"sealed page bytes"
-    assert network.ship_page("a", "b", data) == corrupt_bytes(data)
+    injector = FaultInjector().corrupt_transfer(times=1)
+    network = SimulatedNetwork(
+        fault_injector=injector,
+        retry_policy=RetryPolicy(transfer_retries=1),
+    )
+    assert network.ship_page("a", "b", data) == data
+    assert network.transfers_corrupted == 1
+    assert network.transfer_retries == 1
+
+    injector = FaultInjector().corrupt_transfer(times=1)
+    network = SimulatedNetwork(
+        fault_injector=injector, retry_policy=RetryPolicy.disabled()
+    )
+    with pytest.raises(PageCorruptionError):
+        network.ship_page("a", "b", data)
+    assert network.transfers_corrupted == 1
 
 
 # -- the no-copy sealed view --------------------------------------------------
