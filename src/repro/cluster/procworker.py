@@ -4,9 +4,13 @@ This module is the *child* side of :class:`~repro.cluster.transport.
 ProcessTransport`: it runs in a spawned OS process and executes one task
 at a time off a queue.  A task arrives fully described — the compiled
 program, the stage list, the source (shared-memory page names or plain
-columns), the sink kind — so the child needs none of the coordinator's
-cluster machinery; it deliberately imports only the engine and memory
-layers.
+columns), and the sink's :meth:`~repro.engine.pipeline.Sink.ship_spec`
+(the class and arguments that rebuild it here) — so the child needs none
+of the coordinator's cluster machinery; it deliberately imports only the
+engine and memory layers.  The portion runs through
+:meth:`~repro.engine.pipeline.PipelineEngine.run_stages`, the same batch
+loop an in-process back-end runs, so both transports book the same
+engine counters.
 
 Sealed pages are attached zero-copy: the coordinator exports each page's
 ``multiprocessing.shared_memory`` segment name, the child attaches by
@@ -15,21 +19,24 @@ name and wraps the mapped bytes in an
 paper's "a page moves between processes with zero (de)serialization",
 for real this time.
 
-Results travel back as plain Python values plus the engine-metric and
-trace-counter deltas the coordinator replays into its shadow engine.  A
-task whose result would carry PC objects (handles/facades pointing into
-page memory) is *rejected*, not failed: the coordinator re-runs that
-portion inline.
+Results travel back as the sink's unfinished
+:meth:`~repro.engine.pipeline.Sink.state` plus the engine-metric and
+trace-counter deltas the coordinator replays into its shadow engine; the
+coordinator's own sink loads that state
+(:meth:`~repro.engine.pipeline.Sink.load`), which finishes it.  A task
+whose result would carry PC objects (handles/facades pointing into page
+memory) is *rejected*, not failed: the coordinator re-runs that portion
+inline and counts the re-run (``pc_task_inline_reruns_total``).
 
-Since PR 9 the child runs a real :class:`~repro.obs.Tracer` (DESIGN
-§14): every task executes inside a ``task`` span that adopts the
-coordinator's trace context (``spec["trace_ctx"]``), each TCAP operator
-gets one coalesced ``op`` span (first batch to last), and the finished
-span batch ships back inside the result envelope — or, on failure,
-inside the *error* envelope with the spans marked ``truncated``, so a
-retry never loses the counters the attempt accumulated.  A
-:class:`~repro.obs.FlightRecorder` writing a parent-allocated shared
-ring keeps the last-N structured events readable even after a SIGKILL.
+The child runs a real :class:`~repro.obs.Tracer` (DESIGN §14): every
+task executes inside a ``task`` span that adopts the coordinator's trace
+context (``spec["trace_ctx"]``), each TCAP operator gets one coalesced
+``op`` span (first batch to last), and the finished span batch ships
+back inside the result envelope — or, on failure, inside the *error*
+envelope with the spans marked ``truncated``, so a retry never loses the
+counters the attempt accumulated.  A :class:`~repro.obs.FlightRecorder`
+writing a parent-allocated shared ring keeps the last-N structured
+events readable even after a SIGKILL.
 """
 
 from __future__ import annotations
@@ -42,14 +49,7 @@ import traceback
 
 from multiprocessing import shared_memory
 
-from repro.engine import kernels
-from repro.engine.pipeline import (
-    AggregateSink,
-    HashBuildSink,
-    MaterializeSink,
-    PipelineEngine,
-    object_batches,
-)
+from repro.engine.pipeline import PipelineEngine, object_batches
 from repro.engine.vectors import batches_of
 from repro.memory.block import AllocationBlock
 from repro.memory.builtins import AnyObject, VectorType
@@ -59,16 +59,19 @@ from repro.obs.tracer import Span, Tracer
 
 _ROOT_VECTOR = VectorType(AnyObject)
 
-#: Live progress of the task loop, published by the heartbeat thread.
-#: Plain dict writes are atomic under the GIL, so the task loop updates
-#: it lock-free and the beat thread reads whatever is current.
-_progress = {"task": 0, "rows": 0}
+#: The in-flight task's id, tracer and engine, plus the flight-recorder
+#: mark its events start at.  The main loop's error path harvests partial
+#: spans and counter deltas from it after ``_execute`` unwound, and the
+#: heartbeat thread publishes the engine's ``rows_in`` as progress; the
+#: engine stays until the next task starts, so the last task's row count
+#: remains readable after it ends.  Plain dict reads and writes are
+#: atomic under the GIL, so neither side locks.
+_task_state = {"task": 0}
 
-#: The in-flight task's tracer/engine, kept module-level so the main
-#: loop's error path can harvest partial spans and counter deltas after
-#: ``_execute`` unwound (the satellite fix: deltas accumulated before an
-#: exception must ship in the error envelope).
-_task_state = {}
+
+def _rows_in():
+    engine = _task_state.get("engine")
+    return engine.metrics.rows_in if engine is not None else 0
 
 
 def _beat_loop(slot, interval):
@@ -86,8 +89,8 @@ def _beat_loop(slot, interval):
         seq += 1
         slot[0] = float(seq)  # BEAT_SEQ
         slot[2] = float(pid)  # BEAT_PID
-        slot[3] = float(_progress["task"])  # BEAT_TASK
-        slot[4] = float(_progress["rows"])  # BEAT_ROWS
+        slot[3] = float(_task_state.get("task", 0))  # BEAT_TASK
+        slot[4] = float(_rows_in())  # BEAT_ROWS
         # The timestamp is written last: a torn read can at worst pair a
         # fresh timestamp with one-beat-old progress, never a stale
         # timestamp with fresh progress (which would delay detection).
@@ -110,7 +113,7 @@ class _OpSpanRecorder:
     """Coalesces operator applications into one ``op`` span per operator.
 
     Plugs into :class:`PipelineEngine`'s profiler seam, so it sees every
-    TCAP operator application on both the collect and the sink paths.  A
+    TCAP operator application of the task, whatever its sink.  A
     task applies each operator once per batch; a span per application
     would explode the trace, so the span for an operator covers its
     first application through its latest one, with per-batch row counts
@@ -149,13 +152,6 @@ class _OpSpanRecorder:
         dict) and double-count once the span tree is grafted.
         """
         self._root.inc("op.%s.columnar_rows" % name, rows)
-
-
-class _StagesView:
-    """Adapter giving a bare stage list the Pipeline interface."""
-
-    def __init__(self, stages):
-        self.stages = stages
 
 
 #: (shm, view) pairs whose buffers were still referenced at detach time
@@ -221,51 +217,6 @@ def _source_batches(source, engine, registry, attachments):
             columnar=columnar,
         )
     return batches_of(source[1], engine.batch_size)
-
-
-def _build_sink(engine, sink_spec):
-    kind = sink_spec[0]
-    if kind == "aggregate":
-        # merge semantics apply against the coordinator's store, so the
-        # child always builds plain groups; the coordinator's sink
-        # merges on install.
-        return AggregateSink(engine, sink_spec[1])
-    if kind == "hash_build":
-        return HashBuildSink(engine, sink_spec[1])
-    if kind == "materialize":
-        return MaterializeSink(engine, sink_spec[1])
-    raise _TaskRejected("unknown sink kind %r" % (kind,))
-
-
-def _run_collect(engine, stages, batches, tracer):
-    """Mirror of the scheduler's inline collect loop, counters included."""
-    columns = None
-    for batch in batches:
-        engine.metrics.batches += 1
-        engine.metrics.rows_in += len(batch)
-        _progress["rows"] += len(batch)
-        tracer.add("engine.batches")
-        tracer.add("engine.rows_in", len(batch))
-        current = batch
-        empty = False
-        for stage in stages:
-            engine.metrics.stage_invocations += 1
-            current = engine._apply_stage(stage, current)
-            if len(current) == 0:
-                empty = True
-                break
-        if empty:
-            continue
-        tracer.add("engine.rows_out", len(current))
-        if columns is None:
-            columns = {name: [] for name in current.names()}
-        for name in columns:
-            # Array-backed columns must leave as plain Python values
-            # (picklable, and free of page-memory references).
-            columns[name].extend(
-                kernels.reify_column(current.column(name))
-            )
-    return columns
 
 
 def _reject_pc_values(value, depth=0):
@@ -355,31 +306,15 @@ def _execute(spec, task_id=0, recorder=None):
         _task_state["tracer"] = tracer
         _task_state["engine"] = engine
         engine.hash_tables.update(spec["hash_tables"])
+        sink_cls, sink_args = spec["sink"]
+        sink = sink_cls(engine, *sink_args)
         attachments = []
         try:
             batches = _source_batches(
                 spec["source"], engine, spec["registry"], attachments
             )
-            stages = spec["stages"]
-            sink_spec = spec["sink"]
-            kind = sink_spec[0]
-            if kind == "collect":
-                result = _run_collect(engine, stages, batches, tracer)
-            else:
-                sink = _build_sink(engine, sink_spec)
-                view = _StagesView(stages)
-                for batch in batches:
-                    engine.metrics.batches += 1
-                    engine.metrics.rows_in += len(batch)
-                    _progress["rows"] += len(batch)
-                    engine._process_batch(view, batch, sink)
-                if kind == "aggregate":
-                    result = (list(sink.groups.keys()),
-                              list(sink.groups.values()))
-                elif kind == "hash_build":
-                    result = sink.table
-                else:
-                    result = sink.columns
+            engine.run_stages(spec["stages"], batches, sink)
+            result = sink.state()
             _reject_pc_values(result)
         finally:
             _detach(attachments)
@@ -413,10 +348,8 @@ def backend_main(task_queue, result_queue, heartbeat=None,
         if item is None:
             break
         task_id, blob = item
-        _progress["task"] = task_id
-        _progress["rows"] = 0
         _task_state.clear()
-        _task_state["events_since"] = recorder.seq
+        _task_state.update(task=task_id, events_since=recorder.seq)
         recorder.record("task.dispatch", task=task_id)
         try:
             try:
@@ -438,8 +371,7 @@ def backend_main(task_queue, result_queue, heartbeat=None,
                     "deltas": _failure_deltas(recorder),
                 }))
                 continue
-            recorder.record("task.complete", task=task_id,
-                            rows=_progress["rows"])
+            recorder.record("task.complete", task=task_id, rows=_rows_in())
             try:
                 payload = pickle.dumps((result, deltas))
             except Exception as exc:  # noqa: BLE001 - unshippable, not fatal
@@ -449,5 +381,4 @@ def backend_main(task_queue, result_queue, heartbeat=None,
                 continue
             result_queue.put((task_id, "ok", payload))
         finally:
-            _progress["task"] = 0
-            _task_state.clear()
+            _task_state["task"] = 0

@@ -53,6 +53,7 @@ from repro.engine.physical import (
 )
 from repro.engine.pipeline import (
     AggregateSink,
+    CollectSink,
     HashBuildSink,
     MaterializeSink,
     PipelineEngine,
@@ -317,37 +318,45 @@ class DistributedScheduler:
             )
             self.retry_policy.sleep(backoff)
 
-    def _run_worker_task(self, worker, make_attempt):
+    def _run_worker_task(self, worker, make_attempt, submitted=None):
         """Run one worker's portion of the current stage, with retries.
 
-        Synchronous form: dispatch happens inside the task span, so the
-        engine counters a simulated back-end emits while running are
-        attributed to this worker's task — exactly as before transports
-        became pluggable.
+        ``submitted`` is a first attempt already in flight (see
+        :meth:`_submit_attempt`); every other attempt is built here and
+        submitted inside its task span, so the engine counters a
+        synchronous back-end emits while running are attributed to this
+        worker's task.
         """
         policy = self.retry_policy
         stage = self._current_stage
         stage_kind = stage.kind if stage is not None else "task"
+        if submitted is None:
+            future, started = None, policy.clock()
+        else:
+            payload, abort, future, started = submitted
         attempts = 0
-        started = policy.clock()
         while True:
             attempts += 1
-            payload, abort = self._armed_attempt(
-                worker, stage_kind, make_attempt
-            )
+            if future is None:
+                payload, abort = self._armed_attempt(
+                    worker, stage_kind, make_attempt
+                )
             try:
                 try:
                     with self._task_span(worker) as span:
                         if attempts > 1:
                             span.inc("task.retry_attempt")
                         try:
-                            outcome = worker.dispatch(payload)
+                            if future is None:
+                                future = worker.submit(payload)
+                            outcome = worker.await_result(future)
                         except WorkerCrashError as crash:
                             self._graft_crash_evidence(worker, span, crash)
                             raise
                         if isinstance(outcome, RemoteOutcome):
                             payload.on_result(outcome)
                 finally:
+                    future = None
                     self._cleanup_payload(payload)
                 if attempts > 1:
                     self.fault_metrics.tasks_recovered.inc()
@@ -369,58 +378,15 @@ class DistributedScheduler:
                 self._retry_pause(worker, stage_kind, attempts)
 
     def _submit_attempt(self, worker, make_attempt):
-        """Submit one worker's first attempt without awaiting it."""
+        """Build and submit one worker's first attempt without awaiting it.
+
+        Returns the ``submitted`` tuple :meth:`_run_worker_task` awaits.
+        """
         stage = self._current_stage
         stage_kind = stage.kind if stage is not None else "task"
         payload, abort = self._armed_attempt(worker, stage_kind, make_attempt)
-        return {
-            "payload": payload, "abort": abort,
-            "future": worker.submit(payload),
-            "attempts": 1, "started": self.retry_policy.clock(),
-        }
-
-    def _await_attempt(self, worker, make_attempt, state):
-        """Await a submitted attempt, retrying (resubmitting) on crashes."""
-        policy = self.retry_policy
-        stage = self._current_stage
-        stage_kind = stage.kind if stage is not None else "task"
-        while True:
-            payload = state["payload"]
-            try:
-                try:
-                    with self._task_span(worker) as span:
-                        if state["attempts"] > 1:
-                            span.inc("task.retry_attempt")
-                        try:
-                            outcome = worker.await_result(state["future"])
-                        except WorkerCrashError as crash:
-                            self._graft_crash_evidence(worker, span, crash)
-                            raise
-                        if isinstance(outcome, RemoteOutcome):
-                            payload.on_result(outcome)
-                finally:
-                    self._cleanup_payload(payload)
-                if state["attempts"] > 1:
-                    self.fault_metrics.tasks_recovered.inc()
-                return
-            except WorkerCrashError as crash:
-                self.fault_metrics.backend_crashes.inc()
-                if state["abort"] is not None:
-                    state["abort"]()
-                timed_out = policy.timed_out(state["started"]) or getattr(
-                    crash, "deadline_exceeded", False
-                )
-                if timed_out or not policy.should_retry(state["attempts"]):
-                    self._fail_permanently(
-                        worker, stage, state["attempts"], crash, timed_out
-                    )
-                self._retry_pause(worker, stage_kind, state["attempts"])
-                state["attempts"] += 1
-                payload, abort = self._armed_attempt(
-                    worker, stage_kind, make_attempt
-                )
-                state["payload"], state["abort"] = payload, abort
-                state["future"] = worker.submit(payload)
+        return (payload, abort, worker.submit(payload),
+                self.retry_policy.clock())
 
     def _parallel(self):
         """Whether submit-all/await-all buys real overlap on this cluster."""
@@ -432,49 +398,41 @@ class DistributedScheduler:
     def _run_worker_tasks(self, items, on_lost=None):
         """Run per-worker attempts, overlapping them when back-ends allow.
 
-        ``items`` is a list of ``(worker, make_attempt)`` pairs.  With
-        synchronous back-ends (the simulator) the workers run strictly in
-        order — the exact pre-transport behavior, including mid-loop
-        blacklist checks and immediate loss handling.  With asynchronous
-        (process) back-ends every worker's first attempt is submitted up
-        front and awaited in order; losses are handled *after* all awaits
-        finish, because already-submitted survivors snapshot their
-        sources at submit time and cannot pick up orphans mid-flight.
+        ``items`` is a list of ``(worker, make_attempt)`` pairs, run in
+        order.  With asynchronous (process) back-ends every worker's
+        first attempt is submitted up front, and losses are handled
+        *after* all awaits finish, because already-submitted survivors
+        snapshot their sources at submit time and cannot pick up orphans
+        mid-flight.  With synchronous back-ends (the simulator) each
+        worker runs in turn and a loss is handled at once, so a worker
+        blacklisted meanwhile is skipped.
 
         ``on_lost(worker, lost, completed)`` absorbs a lost worker or
         re-raises; without it the loss propagates immediately.  Returns
         the set of worker ids that completed their portion.
         """
-        completed = set()
-        if not self._parallel():
-            for worker, make_attempt in items:
-                if worker.worker_id in self.cluster.blacklist:
-                    continue
-                try:
-                    self._run_worker_task(worker, make_attempt)
-                    completed.add(worker.worker_id)
-                except WorkerLostError as lost:
-                    if on_lost is None:
-                        raise
-                    on_lost(worker, lost, completed)
-            return completed
-        pending = []
-        for worker, make_attempt in items:
+        parallel = self._parallel()
+        runs = [
+            (worker, make_attempt,
+             self._submit_attempt(worker, make_attempt) if parallel
+             else None)
+            for worker, make_attempt in items
+            if worker.worker_id not in self.cluster.blacklist
+        ]
+        completed, losses = set(), []
+        for worker, make_attempt, submitted in runs:
             if worker.worker_id in self.cluster.blacklist:
                 continue
-            pending.append((
-                worker, make_attempt,
-                self._submit_attempt(worker, make_attempt),
-            ))
-        losses = []
-        for worker, make_attempt, state in pending:
             try:
-                self._await_attempt(worker, make_attempt, state)
+                self._run_worker_task(worker, make_attempt, submitted)
                 completed.add(worker.worker_id)
             except WorkerLostError as lost:
                 if on_lost is None:
                     raise
-                losses.append((worker, lost))
+                if parallel:
+                    losses.append((worker, lost))
+                else:
+                    on_lost(worker, lost, completed)
         for worker, lost in losses:
             # _fail_permanently's surviving-workers check ran against
             # the cluster as it stood at await time; earlier entries in
@@ -680,35 +638,6 @@ class DistributedScheduler:
 
         return build_scan
 
-    def _describe_sink(self, sink):
-        """A shippable description of a sink, or None if it must stay here.
-
-        Output sinks write worker-local pages and merge sinks fold into
-        coordinator state — both unshippable.  The child always builds
-        its sink plain (merge=False) and returns *pre-finish* state; the
-        coordinator installs it and runs ``finish()`` front-end side, so
-        merge semantics and the ``pre_aggregated_keys`` accounting happen
-        exactly once, in exactly one place.
-        """
-        if type(sink) is AggregateSink and not sink.merge:
-            return ("aggregate", sink.statement)
-        if type(sink) is HashBuildSink:
-            return ("hash_build", sink.join)
-        if type(sink) is MaterializeSink and not sink.merge:
-            return ("materialize", sink.vlist_name)
-        return None
-
-    def _install_sink_result(self, sink, result):
-        """Load a child's pre-finish sink state, then finish front-end side."""
-        if isinstance(sink, AggregateSink):
-            keys, vals = result
-            sink.groups = dict(zip(keys, vals))
-        elif isinstance(sink, HashBuildSink):
-            sink.table = result
-        else:
-            sink.columns = result
-        sink.finish()
-
     def _apply_remote_deltas(self, worker, outcome):
         """Replay a child's engine-metric and trace-counter deltas, and
         graft its span batch into the job tree.
@@ -792,16 +721,17 @@ class DistributedScheduler:
                     error_s,
                 )
 
-    def _remote_task(self, worker, stages, source_builder, sink_spec,
-                     run_inline, install, label=""):
+    def _remote_task(self, worker, stages, source_builder, sink,
+                     run_inline):
         """Package one worker's stage portion for its back-end process.
 
         Returns None whenever the portion must run inline instead: the
         back-end is in-process, cloudpickle is unavailable, the sink or
         source is unshippable, or the spec fails to serialize.  The
         returned task's ``on_result`` replays the child's metric deltas
-        and installs the result through ``install(result)``.
+        and loads the child's sink state into ``sink``.
         """
+        sink_spec = sink.ship_spec()
         if self._remote_off or sink_spec is None or source_builder is None:
             return None
         if not getattr(worker.backend, "asynchronous", False):
@@ -831,7 +761,7 @@ class DistributedScheduler:
 
         def on_result(outcome):
             self._apply_remote_deltas(worker, outcome)
-            install(outcome.result)
+            sink.load(outcome.result)
 
         active = self.tracer.active
         spec = {
@@ -866,7 +796,7 @@ class DistributedScheduler:
             return None
         return RemoteTask(
             blob, run_inline, on_result,
-            label="%s on %s" % (label, worker.worker_id),
+            label="%s on %s" % (type(sink).__name__, worker.worker_id),
             cleanup=cleanup,
         )
 
@@ -877,89 +807,30 @@ class DistributedScheduler:
 
     # -- stage runners -----------------------------------------------------------------
 
-    def _collect_attempt(self, worker, stages, batches_factory,
-                         source_builder, result):
-        """make_attempt for a collect run; the columns land in ``result``."""
-
-        def make_attempt():
-            acc = {"columns": None}
-            result["acc"] = acc
-
-            def run():
-                engine = self.engine_for(worker)
-                for batch in batches_factory():
-                    engine.metrics.batches += 1
-                    engine.metrics.rows_in += len(batch)
-                    self.tracer.add("engine.batches")
-                    self.tracer.add("engine.rows_in", len(batch))
-                    current = batch
-                    empty = False
-                    for stage in stages:
-                        engine.metrics.stage_invocations += 1
-                        current = engine._apply_stage(stage, current)
-                        if len(current) == 0:
-                            empty = True
-                            break
-                    if empty:
-                        continue
-                    self.tracer.add("engine.rows_out", len(current))
-                    if acc["columns"] is None:
-                        acc["columns"] = {
-                            name: [] for name in current.names()
-                        }
-                    for name in acc["columns"]:
-                        # A columnar-lowered segment may end array-backed;
-                        # the accumulator holds plain Python values.
-                        acc["columns"][name].extend(
-                            kernels.reify_column(current.column(name))
-                        )
-
-            def install(res):
-                acc["columns"] = res
-
-            task = self._remote_task(
-                worker, stages, source_builder, ("collect",), run,
-                install, label="collect",
-            )
-            return (task if task is not None else run), None
-
-        return make_attempt
-
     def _sink_attempt(self, worker, stages, batches_factory, sink_factory,
-                      source_builder=None):
-        """make_attempt for a run that folds batches into a fresh sink."""
+                      source_builder=None, sinks=None):
+        """make_attempt for a run that folds batches into a fresh sink.
+
+        Each attempt's sink is recorded in ``sinks[worker_id]`` when a
+        dict is given, so a collecting caller can read the columns of
+        the attempt that succeeded.
+        """
 
         def make_attempt():
             sink = sink_factory(worker)
+            if sinks is not None:
+                sinks[worker.worker_id] = sink
 
             def run():
-                engine = sink.engine
-                for batch in batches_factory():
-                    engine.metrics.batches += 1
-                    engine.metrics.rows_in += len(batch)
-                    pipeline = _StagesView(stages)
-                    engine._process_batch(pipeline, batch, sink)
+                sink.engine.run_stages(stages, batches_factory(), sink)
                 sink.finish()
 
-            def install(res):
-                self._install_sink_result(sink, res)
-
             task = self._remote_task(
-                worker, stages, source_builder, self._describe_sink(sink),
-                run, install, label="sink",
+                worker, stages, source_builder, sink, run,
             )
             return (task if task is not None else run), sink.abort
 
         return make_attempt
-
-    def _run_stages_collect(self, worker, stages, batches_factory,
-                            source_builder=None):
-        """Run ``stages`` over fresh batches; returns collected columns."""
-        result = {}
-        self._run_worker_task(worker, self._collect_attempt(
-            worker, stages, batches_factory, source_builder, result
-        ))
-        return result["acc"]["columns"] or {}
 
     def _run_stages_into_sink(self, worker, stages, batches_factory,
                               sink_factory, source_builder=None):
@@ -968,24 +839,32 @@ class DistributedScheduler:
             worker, stages, batches_factory, sink_factory, source_builder
         ))
 
+    def _collect_sink(self, worker):
+        return CollectSink(self.engine_for(worker))
+
+    def _collected(self, workers, sinks):
+        """Every worker's collected columns, in ``workers`` order."""
+        return [
+            sinks[worker.worker_id].columns or {}
+            if worker.worker_id in sinks else {}
+            for worker in workers
+        ]
+
     def _collect_from_workers(self, pipeline, stages):
         """Every worker's collected columns for one segment, in order."""
         workers = list(self.workers)
-        holders = [dict() for _ in workers]
-        items = [
-            (worker, self._collect_attempt(
+        sinks = {}
+        self._run_worker_tasks([
+            (worker, self._sink_attempt(
                 worker, stages,
                 self._scan_batches_factory(worker, pipeline),
+                self._collect_sink,
                 self._scan_source_builder(worker, pipeline),
-                holders[index],
+                sinks,
             ))
-            for index, worker in enumerate(workers)
-        ]
-        self._run_worker_tasks(items)
-        return [
-            (holder.get("acc") or {}).get("columns") or {}
-            for holder in holders
-        ]
+            for worker in workers
+        ])
+        return self._collected(workers, sinks)
 
     def _shuffle_columns(self, per_worker_columns, hash_column):
         """Repartition rows by ``hash % n_workers``; returns per-worker columns."""
@@ -1034,7 +913,7 @@ class DistributedScheduler:
             )
             last = index == len(segments) - 1
             workers = list(self.workers)
-            holders = [dict() for _ in workers]
+            sinks = {}
             items = []
             for w_index, worker in enumerate(workers):
                 cols = per_worker_columns[w_index]
@@ -1045,22 +924,14 @@ class DistributedScheduler:
                 def source_builder(_cols=cols):
                     return ("columns", _cols), None
 
-                if last:
-                    items.append((worker, self._sink_attempt(
-                        worker, segment, batches_factory, sink_factory,
-                        source_builder,
-                    )))
-                else:
-                    items.append((worker, self._collect_attempt(
-                        worker, segment, batches_factory, source_builder,
-                        holders[w_index],
-                    )))
+                items.append((worker, self._sink_attempt(
+                    worker, segment, batches_factory,
+                    sink_factory if last else self._collect_sink,
+                    source_builder, sinks,
+                )))
             self._run_worker_tasks(items)
             if not last:
-                per_worker_columns = [
-                    (holder.get("acc") or {}).get("columns") or {}
-                    for holder in holders
-                ]
+                per_worker_columns = self._collected(workers, sinks)
 
     def _run_distributed_pipeline(self, pipeline, sink_factory):
         """Run a full pipeline on every worker, honoring join partitioning.
@@ -1445,7 +1316,7 @@ class DistributedScheduler:
                 output.database, output.set_name
             )
             if agg_comp is not None:
-                return MapPageOutputSink(
+                return MapOutputSink(
                     self.engine_for(worker), output, page_set, agg_comp
                 )
             return ClusterOutputSink(
@@ -1503,13 +1374,6 @@ class DistributedScheduler:
                 if isinstance(comp, AggregateComp) and comp.key_type is not None:
                     return comp
         return None
-
-
-class _StagesView:
-    """Adapter giving scheduler stage lists the Pipeline interface."""
-
-    def __init__(self, stages):
-        self.stages = stages
 
 
 class ClusterOutputSink(Sink):
@@ -1581,7 +1445,7 @@ class ClusterOutputSink(Sink):
             del outputs[self._python_mark:]
 
 
-class MapPageOutputSink(Sink):
+class MapOutputSink(Sink):
     """Writes aggregation pairs as a PC Map object in the destination set.
 
     This reproduces the paper's aggregation sink: the stored set holds

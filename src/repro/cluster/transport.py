@@ -527,7 +527,9 @@ class _PendingFuture:
         if status == "reject":
             # The child judged the task unshippable (PC-object results,
             # unpicklable pieces); the portion runs inline in the
-            # front-end instead — same code, same crash semantics.
+            # front-end instead — same code, same crash semantics — and
+            # is counted, because the child's work is done twice.
+            self._backend.note_inline_rerun(self._task, payload)
             try:
                 self._value = self._backend.run_user_code(
                     self._task.run_inline
@@ -541,13 +543,8 @@ class _PendingFuture:
             # A Python-level failure inside the child: the envelope is a
             # dict carrying the traceback plus the deltas the task
             # accumulated before it blew up (spans marked truncated), so
-            # retries keep the attempt's counters.  Legacy string
-            # payloads (a pooled pre-upgrade child) degrade gracefully.
-            if isinstance(payload, dict):
-                message = payload.get("traceback", "")
-                deltas = payload.get("deltas")
-            else:
-                message, deltas = payload, None
+            # retries keep the attempt's counters.
+            message, deltas = payload["traceback"], payload["deltas"]
             self._error = WorkerCrashError(
                 "back-end process of worker %r died: %s"
                 % (worker_id, message)
@@ -887,6 +884,16 @@ class ProcessBackend(BackendProcess):
             return future
         return super().submit(fn, *args, **kwargs)
 
+    def note_inline_rerun(self, task, reason):
+        """Count a task the child rejected and the coordinator re-runs."""
+        transport = self._transport
+        transport._c_inline_reruns.inc()
+        if transport.recorder is not None:
+            transport.recorder.record(
+                "task.inline_rerun", worker=self.worker.worker_id,
+                task=task.label, reason=str(reason)[:120],
+            )
+
     def shutdown(self):
         child, self._child = self._child, None
         if child is not None:
@@ -910,6 +917,12 @@ class ProcessTransport(Transport):
         #: liveness + deadline authority over this transport's children.
         self.supervisor = Supervisor(metrics=self.metrics,
                                      recorder=recorder)
+        self._c_inline_reruns = self.metrics.counter(
+            "pc_task_inline_reruns_total",
+            help="Tasks a back-end process rejected (results holding PC "
+                 "objects or unpicklable) and the coordinator re-ran inline",
+            trace="task.inline_reruns",
+        )
         self._leased = []
         self._finalizer = weakref.finalize(
             self, _release_leased, self._leased

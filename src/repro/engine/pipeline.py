@@ -7,9 +7,16 @@ batches are pushed through each pipeline's stages; sinks collect results:
 * hash-table sinks build the join tables probe pipelines consume;
 * aggregation sinks pre-aggregate into a per-pipeline hash map (the
   paper's per-thread ``Map`` on an output page);
+* collect and materialize sinks accumulate a segment's output columns;
 * output sinks either collect Python values (local mode) or allocate PC
   objects in place on output-set pages (cluster mode), rolling to a fresh
   page on the out-of-memory fault and counting the resulting zombie pages.
+
+:meth:`PipelineEngine.run_stages` is the one per-worker batch loop, used
+locally, by the cluster scheduler, and inside back-end processes; sinks
+that can run in a back-end process say how to rebuild them there
+(:meth:`Sink.ship_spec`) and how to move their state back
+(:meth:`Sink.state` / :meth:`Sink.load`).
 
 Batches are processed with the current output page installed as the
 active allocation block, so user code calling ``make_object`` inside a
@@ -139,13 +146,23 @@ class PipelineEngine:
 
     def _run_pipeline(self, pipeline):
         sink = self._make_sink(pipeline)
-        for batch in self._source_batches(pipeline):
-            self.metrics.batches += 1
-            self.metrics.rows_in += len(batch)
-            self._process_batch(pipeline, batch, sink)
+        self.run_stages(pipeline.stages, self._source_batches(pipeline), sink)
         sink.finish()
 
-    def _process_batch(self, pipeline, batch, sink):
+    def run_stages(self, stages, batches, sink):
+        """Push every batch through ``stages`` into ``sink``.
+
+        The one per-worker batch loop: the local engine, the cluster
+        scheduler's inline attempts and the back-end process all run a
+        worker's stage portion through here, so every engine counter is
+        booked in one place.  Finishing the sink is the caller's: a
+        back-end process ships the unfinished :meth:`Sink.state` and the
+        coordinator finishes it on :meth:`Sink.load`.
+        """
+        for batch in batches:
+            self._process_batch(stages, batch, sink)
+
+    def _process_batch(self, stages, batch, sink):
         """Push one batch through all stages into the sink.
 
         Allocation faults from a page-backed sink roll the output page and
@@ -153,6 +170,8 @@ class PipelineEngine:
         the sealed page become dead space, and the sealed page — which may
         hold output rows already — is the paper's zombie output page.
         """
+        self.metrics.batches += 1
+        self.metrics.rows_in += len(batch)
         self.tracer.add("engine.batches")
         self.tracer.add("engine.rows_in", len(batch))
         for attempt in range(3):
@@ -160,11 +179,11 @@ class PipelineEngine:
             try:
                 if block is not None:
                     with use_allocation_block(block):
-                        current = self._apply_stages(pipeline, batch)
+                        current = self._apply_stages(stages, batch)
                         if current is not None:
                             sink.consume(current)
                 else:
-                    current = self._apply_stages(pipeline, batch)
+                    current = self._apply_stages(stages, batch)
                     if current is not None:
                         sink.consume(current)
                 if current is not None:
@@ -176,10 +195,10 @@ class PipelineEngine:
                 sink.roll_page()
                 self.metrics.zombie_pages += 1
 
-    def _apply_stages(self, pipeline, batch):
+    def _apply_stages(self, stages, batch):
         """Run all stages; returns None when a stage empties the batch."""
         current = batch
-        for stage in pipeline.stages:
+        for stage in stages:
             self.metrics.stage_invocations += 1
             current = self._apply_stage(stage, current)
             if len(current) == 0:
@@ -404,9 +423,37 @@ class Sink:
         need do nothing; page-writing sinks roll their partial pages back.
         """
 
+    # -- shipping to a back-end process ---------------------------------------------
+    #
+    # A shippable sink is rebuilt in the back-end process from
+    # ``ship_spec()``, fed there, and its unfinished ``state()`` shipped
+    # back; the coordinator's own sink ``load``s that state, which
+    # finishes it, so merge semantics and finish-time accounting happen
+    # exactly once, front-end side.
+
+    #: The attribute a shippable sink accumulates into.
+    state_attr = None
+
+    def ship_spec(self):
+        """``(sink class, args)`` rebuilding this sink in a back-end
+        process as ``cls(engine, *args)``, or None when it must run here
+        (it writes worker-local pages or merges into coordinator state)."""
+        return None
+
+    def state(self):
+        """What this sink accumulated, before :meth:`finish`."""
+        return getattr(self, self.state_attr)
+
+    def load(self, state):
+        """Install a back-end process's :meth:`state`, then finish."""
+        setattr(self, self.state_attr, state)
+        self.finish()
+
 
 class HashBuildSink(Sink):
     """Builds the hash table for a join's build side."""
+
+    state_attr = "table"
 
     def __init__(self, engine, join_stmt):
         super().__init__(engine)
@@ -431,6 +478,9 @@ class HashBuildSink(Sink):
     def finish(self):
         self.engine.hash_tables[self.join.output] = self.table
 
+    def ship_spec(self):
+        return HashBuildSink, (self.join,)
+
 
 class AggregateSink(Sink):
     """Pre-aggregates (key, value) pairs — the paper's producing stage.
@@ -440,6 +490,8 @@ class AggregateSink(Sink):
     it — the mode the scheduler uses when a surviving worker absorbs a
     lost peer's orphaned scan pages after its own portion completed.
     """
+
+    state_attr = "groups"
 
     def __init__(self, engine, agg_stmt, merge=False):
         super().__init__(engine)
@@ -492,8 +544,37 @@ class AggregateSink(Sink):
             "val": list(groups.values()),
         }
 
+    def ship_spec(self):
+        return None if self.merge else (AggregateSink, (self.statement,))
 
-class MaterializeSink(Sink):
+
+class CollectSink(Sink):
+    """Accumulates a stage portion's output columns as plain values.
+
+    The scheduler collects through it wherever a partitioned join splits
+    a pipeline: the columns are shuffled to the next segment's workers.
+    Array-backed columns are lowered on arrival, so the columns are
+    picklable and free of page-memory references.
+    """
+
+    state_attr = "columns"
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.columns = None
+
+    def consume(self, batch):
+        batch = kernels.reify(batch)
+        if self.columns is None:
+            self.columns = {name: [] for name in batch.names()}
+        for name in self.columns:
+            self.columns[name].extend(batch.column(name))
+
+    def ship_spec(self):
+        return CollectSink, ()
+
+
+class MaterializeSink(CollectSink):
     """Materializes a multi-consumer vector list.
 
     ``merge=True`` appends the finished columns to the store's existing
@@ -503,15 +584,10 @@ class MaterializeSink(Sink):
     def __init__(self, engine, vlist_name, merge=False):
         super().__init__(engine)
         self.vlist_name = vlist_name
-        self.columns = None
         self.merge = merge
 
-    def consume(self, batch):
-        batch = kernels.reify(batch)
-        if self.columns is None:
-            self.columns = {name: [] for name in batch.names()}
-        for name in self.columns:
-            self.columns[name].extend(batch.column(name))
+    def ship_spec(self):
+        return None if self.merge else (MaterializeSink, (self.vlist_name,))
 
     def finish(self):
         columns = self.columns or {}
@@ -538,48 +614,3 @@ class ListOutputSink(Sink):
         self.engine.outputs.setdefault(key, []).extend(
             kernels.reify_column(batch.column(self.statement.column))
         )
-
-
-class PageOutputSink(Sink):
-    """Cluster-mode output: allocate objects in place on set pages."""
-
-    def __init__(self, engine, output_stmt, page_set):
-        super().__init__(engine)
-        self.statement = output_stmt
-        self.page_set = page_set
-        self._pages_mark = len(page_set.page_ids)
-        self._objects_mark = page_set.object_count
-        self.writer = page_set.writer().__enter__()
-
-    def allocation_block(self):
-        return self.writer._page.block
-
-    def roll_page(self):
-        self.writer._seal_page()
-        self.writer._open_page()
-        self.engine.metrics.pages_written += 1
-
-    def consume(self, batch):
-        root = self.writer._root
-        for value in kernels.reify_column(batch.column(self.statement.column)):
-            # Values produced by user projections are handles or facades
-            # already living on the output page (in-place allocation) —
-            # appending to the root vector is then pure bookkeeping.  A
-            # value still living elsewhere is deep-copied in by the
-            # vector's cross-block assignment rule.
-            root.append(value)
-            self.page_set.object_count += 1
-
-    def finish(self):
-        self.writer.__exit__(None, None, None)
-        self.engine.metrics.pages_written += len(self.page_set.page_ids)
-
-    def abort(self):
-        if self.writer._page is not None:
-            self.page_set.pool.free_page(self.writer._page.page_id)
-            self.writer._page = None
-            self.writer._root = None
-        for page_id in self.page_set.page_ids[self._pages_mark:]:
-            self.page_set.pool.free_page(page_id)
-        del self.page_set.page_ids[self._pages_mark:]
-        self.page_set.object_count = self._objects_mark

@@ -2,7 +2,7 @@
 
 ``create_set(db, name, cls, *, page_size, replication, layout, schema)``
 is the one DDL entry point; the drifted storage-layer ``type_name``
-keyword survives one release behind a DeprecationWarning.  Schemas imply
+keyword is gone and fails like any unknown keyword.  Schemas imply
 ``layout="columnar"``, ``PC_LAYOUT=columnar`` turns derivable classes
 columnar by default, contradictory combinations fail loudly, and the
 chosen layout survives the catalog journal (``cluster.recover()``).
@@ -41,18 +41,7 @@ def _meta(cluster, name):
     return cluster.catalog.set_metadata("db", name)
 
 
-# -- the legacy shim ----------------------------------------------------------
-
-
-def test_type_name_keyword_warns_and_still_works(cluster):
-    cluster.register_type(Reading)
-    with pytest.warns(DeprecationWarning, match="type_name"):
-        cluster.create_set("db", "readings", type_name="Reading")
-    meta = _meta(cluster, "readings")
-    assert meta.layout == "row"
-    with cluster.loader("db", "readings") as load:
-        load.append(Reading, sensor=1, value=2.0)
-    assert cluster.read("db", "readings")[0].value == 2.0
+# -- keywords ----------------------------------------------------------------
 
 
 def test_cls_keyword_does_not_warn(cluster):
@@ -65,6 +54,9 @@ def test_cls_keyword_does_not_warn(cluster):
 def test_unknown_keyword_is_a_type_error(cluster):
     with pytest.raises(TypeError, match="typo_kwarg"):
         cluster.create_set("db", "readings", Reading, typo_kwarg=1)
+    # The removed storage-layer keyword is just another unknown one.
+    with pytest.raises(TypeError, match="type_name"):
+        cluster.create_set("db", "readings", type_name="Reading")
 
 
 # -- layout resolution --------------------------------------------------------

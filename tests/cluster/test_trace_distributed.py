@@ -237,12 +237,18 @@ def test_chaos_killed_workers_still_contribute_trace_evidence(tmp_path):
         monkey = ChaosMonkey(cluster, seed=7, kills=3, stops=1,
                              window_s=1.5)
         with monkey:
+            # Stop one job after the storm's last signal: jobs run after
+            # that add no kill evidence, and enough of them would evict
+            # the truncated traces from the cluster.traces(16) ring.
             horizon = _time.monotonic() + 2.2
             while _time.monotonic() < horizon:
+                storm_over = len(monkey.delivered) == len(monkey.schedule)
                 result = customers_per_supplier_pc(cluster)
                 if baseline is None:
                     baseline = result
                 assert result == baseline
+                if storm_over:
+                    break
         assert monkey.counts["kill"] == 3
         # Snapshot the master ring before further jobs can evict the
         # storm's marks (the ring is bounded by construction).

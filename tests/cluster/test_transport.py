@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -27,10 +28,22 @@ from repro.cluster import (
     make_transport,
 )
 from repro.cluster.transport import ProcessTransport, remote_available
+from repro.core import (
+    AggregateComp,
+    JoinComp,
+    ObjectReader,
+    Writer,
+    lambda_from_member,
+    lambda_from_native,
+)
 from repro.errors import BackendCrashedError, PageCorruptionError, \
     WorkerCrashError
+from repro.lillinalg import DistributedMatrix
 from repro.tpch import TpchSpec, customers_per_supplier_pc, load_pc_customers
+from repro.tpch.lineitem import load_lineitems, q6_revenue, reference_q6
 
+from test_cluster_execution import Label, _load_points
+from test_cluster_execution import Label, _load_points
 from test_fault_tolerance import (
     expected_sums,
     fast_policy,
@@ -215,6 +228,132 @@ def test_process_transport_runs_real_child_processes(tmp_path):
     assert pids, "no task ran in a child process"
     assert os.getpid() not in pids
     cluster.close()
+
+
+# -- one worker-task body: counted re-runs and counter parity ---------------------------
+
+needs_process = pytest.mark.skipif(
+    not remote_available(), reason="cloudpickle unavailable"
+)
+
+
+def _inline_reruns(cluster):
+    return cluster.metrics().value("pc_task_inline_reruns_total")
+
+
+@needs_process
+def test_rejected_tasks_are_counted_as_inline_reruns(tmp_path):
+    # A child whose result holds PC objects rejects the task and the
+    # coordinator re-runs it inline: the work is done twice, so it must
+    # show as a counter, its trace mirror, and a flight event.
+    cluster = PCCluster(n_workers=2, page_size=1 << 16,
+                        spill_root=str(tmp_path / "lla"), transport="process")
+    try:
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(7, 6)), rng.normal(size=(6, 4))
+        da = DistributedMatrix.from_numpy(cluster, "lla", a, 3, 3)
+        db = DistributedMatrix.from_numpy(cluster, "lla", b, 3, 3)
+        before = _inline_reruns(cluster)
+        jobs_before = len(cluster.traces(16))
+        assert np.allclose(da.multiply(db).to_numpy(), a @ b)
+        reruns = _inline_reruns(cluster) - before
+        assert reruns >= 1
+        traces = cluster.traces(16)  # most recent first
+        assert sum(t.totals().get("task.inline_reruns", 0)
+                   for t in traces[:len(traces) - jobs_before]) == reruns
+        events = [e for e in cluster.flight.snapshot()
+                  if e["kind"] == "task.inline_rerun"]
+        assert len(events) == reruns
+        assert all("PC objects" in e["reason"] for e in events)
+    finally:
+        cluster.close()
+
+    # A columnar scan-and-sum ships plain values: nothing is re-run.
+    cluster = PCCluster(n_workers=2, page_size=1 << 16,
+                        spill_root=str(tmp_path / "q6"), transport="process")
+    try:
+        columns = load_lineitems(cluster, 600, seed=3)
+        before = cluster.metrics()
+        assert q6_revenue(cluster, columnar=True) == reference_q6(columns)
+        after = cluster.metrics()
+        assert after.value("pc_trace_remote_spans_total") > \
+            before.value("pc_trace_remote_spans_total")  # tasks shipped
+        assert after.value("pc_task_inline_reruns_total") == 0
+    finally:
+        cluster.close()
+
+
+class _LabelJoin(JoinComp):
+    def get_selection(self, label, point):
+        return lambda_from_member(label, "cluster_id") == \
+            lambda_from_member(point, "cluster_id")
+
+    def get_projection(self, label, point):
+        return lambda_from_native(
+            [label, point], lambda lab, p: (lab.label, p.x)
+        )
+
+
+class _SumByLabel(AggregateComp):
+    def get_key_projection(self, arg):
+        return lambda_from_native([arg], lambda pair: pair[0])
+
+    def get_value_projection(self, arg):
+        return lambda_from_native([arg], lambda pair: pair[1])
+
+
+def load_labeled_points(cluster, n):
+    _load_points(cluster, n=n)
+    cluster.create_set("db", "labels", Label)
+    with cluster.loader("db", "labels") as load:
+        for c in range(4):
+            load.append(Label, cluster_id=c, label="L%d" % c)
+
+
+_ENGINE_FAMILIES = ("pc_engine_batches_total", "pc_engine_rows_in_total",
+                    "pc_engine_stage_invocations_total")
+_ENGINE_TRACE = ("engine.batches", "engine.rows_in", "engine.rows_out")
+
+
+def _join_aggregate_counters(tmp_path, transport):
+    """Engine-counter deltas of one partitioned join feeding an aggregate.
+
+    ``broadcast_threshold=0`` partitions the join, so the job runs a
+    collect segment (build side and probe side) and an aggregate sink.
+    """
+    cluster = PCCluster(n_workers=3, page_size=1 << 12,
+                        spill_root=str(tmp_path / transport),
+                        transport=transport, broadcast_threshold=0)
+    try:
+        load_labeled_points(cluster, n=60)
+        before = cluster.metrics()
+        agg = _SumByLabel().set_input(
+            _LabelJoin().set_input(0, ObjectReader("db", "labels"))
+            .set_input(1, ObjectReader("db", "points"))
+        )
+        cluster.execute_computations(Writer("db", "sums").set_input(agg))
+        after = cluster.metrics()
+        assert any("partition join" in stage.detail
+                   for stage in cluster.last_job_log)
+        totals = cluster.last_trace.totals()
+        return (
+            dict(cluster.read("db", "sums", as_pairs=True, comp=agg)),
+            {name: after.value(name) - before.value(name)
+             for name in _ENGINE_FAMILIES},
+            {name: totals.get(name, 0) for name in _ENGINE_TRACE},
+        )
+    finally:
+        cluster.close()
+
+
+@needs_process
+def test_engine_counters_match_across_transports(tmp_path):
+    sim = _join_aggregate_counters(tmp_path, "sim")
+    process = _join_aggregate_counters(tmp_path, "process")
+    assert sim[0] == process[0]
+    assert sim[1] == process[1]
+    assert sim[2] == process[2]
+    assert all(sim[1].values()) and all(sim[2].values())
 
 
 # -- shutdown hygiene ---------------------------------------------------------------------
