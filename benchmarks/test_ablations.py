@@ -181,7 +181,10 @@ def test_ablation_join_threshold(benchmark):
             s.detail.split()[0] for s in cluster.last_job_log
             if s.kind == "BuildHashTableJobStage"
         ]
-        return elapsed, cluster.network.stats(), modes, sorted(out)
+        snapshot = cluster.metrics()
+        net = {key: snapshot.value("pc_net_%s_total" % key)
+               for key in ("bytes_rows", "messages")}
+        return elapsed, net, modes, sorted(out)
 
     b_time, b_net, b_modes, b_out = run(threshold=1 << 30)
     p_time, p_net, p_modes, p_out = run(threshold=0)
@@ -226,7 +229,8 @@ def test_ablation_vector_size(benchmark):
             run_local, graph(), sources, batch_size
         )
         assert len(outputs[("db", "out")]) == len(data)
-        rows.append((batch_size, fmt_seconds(elapsed), metrics.batches))
+        rows.append((batch_size, fmt_seconds(elapsed),
+                     metrics.get("pc_engine_batches_total").value))
         times[batch_size] = elapsed
     report("ablation_vector_size", render_table(
         "Ablation — pipeline vector (batch) size",
@@ -258,10 +262,7 @@ def test_ablation_page_size(benchmark):
             lambda: matrix.transpose_multiply(matrix).to_numpy()
         )
         assert np.allclose(gram, x.T @ x)
-        pages = sum(
-            worker.storage.stats()["buffer_pool"]["pages_created"]
-            for worker in cluster.workers
-        )
+        pages = cluster.metrics().value("pc_pool_pages_created_total")
         rows.append((page_size >> 10, fmt_seconds(elapsed), pages))
         results[page_size] = pages
     report("ablation_page_size", render_table(

@@ -73,12 +73,17 @@ def test_figure4_runtime_trace(benchmark):
         % (len(cluster.catalog.registry.entries()),
            cluster.catalog.library_requests),
     ))
+    snapshot = cluster.metrics()
     for worker in cluster.workers:
-        stats = worker.storage.stats()
+        pool = {
+            key: snapshot.value("pc_pool_%s_total" % key,
+                                worker=worker.worker_id)
+            for key in ("pages_created", "evictions", "spills")
+        }
         rows.append((
             worker.worker_id, "front-end storage",
             "pool: %(pages_created)d pages, %(evictions)d evictions, "
-            "%(spills)d spills" % stats["buffer_pool"],
+            "%(spills)d spills" % pool,
         ))
         rows.append((
             worker.worker_id, "front-end catalog",
@@ -88,11 +93,14 @@ def test_figure4_runtime_trace(benchmark):
             worker.worker_id, "back-end",
             "re-forked %d times" % worker.refork_count,
         ))
-    network = cluster.network.stats()
+    network = {
+        key: snapshot.value("pc_net_%s" % key)
+        for key in ("messages_total", "bytes_total", "bytes_zero_copy_total")
+    }
     rows.append((
         "network", "traffic",
-        "%(messages)d messages, %(bytes_total)d bytes "
-        "(%(bytes_zero_copy)d zero-copy)" % network,
+        "%(messages_total)d messages, %(bytes_total)d bytes "
+        "(%(bytes_zero_copy_total)d zero-copy)" % network,
     ))
     report("figure4_runtime", render_table(
         "Figure 4 — distributed runtime trace of one execution",
@@ -101,7 +109,7 @@ def test_figure4_runtime_trace(benchmark):
     ))
 
     assert any("AggregationJobStage" in repr(s) for s in job_log)
-    assert network["bytes_zero_copy"] > 0
+    assert network["bytes_zero_copy_total"] > 0
     assert all(w.refork_count == 0 for w in cluster.workers)
 
     benchmark(lambda: cluster.execute_computations(

@@ -58,15 +58,13 @@ def test_figure5_distributed_aggregation(benchmark):
         expected[i % n_keys] = expected.get(i % n_keys, 0.0) + float(i)
     assert result == expected
 
-    pre_aggregated = sum(
-        engine.metrics.pre_aggregated_keys
-        for engine in (
-            worker.backend.engines[key]
-            for worker in cluster.workers
-            for key in worker.backend.engines
-        )
-    )
-    network = cluster.network.stats()
+    snapshot = cluster.metrics()
+    pre_aggregated = snapshot.value("pc_engine_pre_aggregated_keys_total")
+    network = {
+        key: snapshot.value("pc_net_%s" % key)
+        for key in ("messages_total", "bytes_total", "bytes_rows_total",
+                    "bytes_zero_copy_total")
+    }
     rows = [
         ("1. producing stage",
          "pipelining threads pre-aggregated %d (key, value) groups "
@@ -77,8 +75,8 @@ def test_figure5_distributed_aggregation(benchmark):
         ("3. shuffle",
          "%d messages, %d bytes — all zero-copy page bytes "
          "(row bytes: %d)" % (
-             network["messages"], network["bytes_total"],
-             network["bytes_rows"])),
+             network["messages_total"], network["bytes_total"],
+             network["bytes_rows_total"])),
         ("4. consuming stage",
          "aggregation threads merged shuffled Maps into %d final keys"
          % len(result)),
@@ -91,8 +89,8 @@ def test_figure5_distributed_aggregation(benchmark):
 
     # The signature property: the aggregation shuffle moves only whole
     # PC Map pages (zero serialization), never pickled rows.
-    assert network["bytes_zero_copy"] > 0
-    assert network["bytes_rows"] == 0
+    assert network["bytes_zero_copy_total"] > 0
+    assert network["bytes_rows_total"] == 0
     # Pre-aggregation means each worker sends at most n_keys groups.
     assert pre_aggregated <= n_keys * n_workers
 

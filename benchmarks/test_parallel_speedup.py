@@ -81,12 +81,9 @@ def _kmeans_run(tmp_path, n_workers, points):
     for _ in range(KM_ITERATIONS):
         centers = km.iterate(centers)
     elapsed = time.perf_counter() - start
-    spills = sum(
-        w.storage.pool.stats()["spills"] for w in cluster.workers
-    )
-    reloads = sum(
-        w.storage.pool.stats()["reloads"] for w in cluster.workers
-    )
+    snapshot = cluster.metrics()
+    spills = snapshot.value("pc_pool_spills_total")
+    reloads = snapshot.value("pc_pool_reloads_total")
     cluster.close()
     return elapsed, centers, spills, reloads
 

@@ -76,14 +76,15 @@ def _run_factor(tmp_path, replication):
     )
 
     meta = cluster.catalog.set_metadata("db", "points")
+    snapshot = cluster.metrics()
     return {
         "replication": replication,
         "load_s": round(load_s, 6),
         "query_s": round(query_s, 6),
         "pages": len(meta.pages),
-        "replica_writes": cluster.replication.replica_writes,
-        "net_bytes_zero_copy": cluster.network.bytes_zero_copy,
-        "net_messages": cluster.network.messages,
+        "replica_writes": snapshot.value("pc_repl_replica_writes_total"),
+        "net_bytes_zero_copy": snapshot.value("pc_net_bytes_zero_copy_total"),
+        "net_messages": snapshot.value("pc_net_messages_total"),
     }
 
 

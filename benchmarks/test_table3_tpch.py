@@ -66,7 +66,7 @@ def _run_size(n_customers):
     context.serde.reset()
     pc_time, (pc_cps, _total) = timed(customers_per_supplier_pc, cluster)
     pc_serde = 0  # by construction: pages move as bytes
-    pc_zero_copy = cluster.network.bytes_zero_copy
+    pc_zero_copy = cluster.metrics().value("pc_net_bytes_zero_copy_total")
     hdfs_time, (hdfs_cps, _t) = timed(
         lambda: customers_per_supplier_baseline(
             context.object_file("hdfs://tpch")
@@ -93,7 +93,7 @@ def _run_size(n_customers):
     cluster.network.reset()
     context.serde.reset()
     pc_time, pc_top = timed(top_k_jaccard_pc, cluster, k, query)
-    pc_shuffle_rows = cluster.network.bytes_rows
+    pc_shuffle_rows = cluster.metrics().value("pc_net_bytes_rows_total")
     hdfs_time, hdfs_top = timed(
         lambda: top_k_jaccard_baseline(
             context.object_file("hdfs://tpch"), k, query

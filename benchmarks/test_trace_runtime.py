@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
+import time
 
 import pytest
 
@@ -190,11 +192,17 @@ def test_trace_runtime_writes_bench_json(benchmark):
 #
 # Distributed tracing must stay effectively free: the same workload on
 # identical clusters with the tracer enabled and disabled (the null
-# tracer — no spans, no trace ring), interleaved best-of-N so machine
-# noise hits both arms equally.  The measured fraction lands in
+# tracer — no spans, no trace ring).  The measured fraction lands in
 # BENCH_trace.json's "tracing_overhead" section and CI fails over 5%.
+#
+# How it measures: on a shared 2-CPU host the CPU time of identical
+# ~13 ms jobs spread 12-26 ms from one job to the next, so a best-of-N
+# per arm compares whichever arm caught a fast moment.  Each trial
+# therefore runs one job per arm back to back, alternating which arm
+# goes first, and yields one paired ratio of traced to untraced
+# seconds; the overhead is the median of those ratios, minus one.
 
-TRIALS = 7
+TRIALS = 200
 OVERHEAD_BUDGET = 0.05
 
 
@@ -205,8 +213,6 @@ def _overhead_cluster(tracing):
 
 
 def _overhead_job(cluster, job_name):
-    import time
-
     computation = Writer("db", job_name).set_input(
         SumByCluster().set_input(
             Positive().set_input(ObjectReader("db", "points"))
@@ -224,15 +230,19 @@ def test_tracing_overhead_within_budget(benchmark):
                 True: _overhead_cluster(True)}
     for tracing, cluster in clusters.items():
         _overhead_job(cluster, "warmup")
+    ratios = []
     for trial in range(TRIALS):
-        for tracing, cluster in clusters.items():
-            times[tracing].append(
-                _overhead_job(cluster, "run-%d" % trial)
+        seconds = {}
+        for tracing in (False, True) if trial % 2 == 0 else (True, False):
+            seconds[tracing] = _overhead_job(
+                clusters[tracing], "run-%d" % trial
             )
+            times[tracing].append(seconds[tracing])
+        ratios.append(seconds[True] / seconds[False])
 
-    off = min(times[False])
-    on = min(times[True])
-    overhead = (on - off) / off
+    off = statistics.median(times[False])
+    on = statistics.median(times[True])
+    overhead = statistics.median(ratios) - 1.0
 
     # The traced arm really did trace; the untraced arm really did not.
     assert clusters[True].last_trace is not None
@@ -242,6 +252,7 @@ def test_tracing_overhead_within_budget(benchmark):
 
     section = {
         "trials": TRIALS,
+        "estimator": "median over trials of traced/untraced job seconds",
         "wall_s_tracing_off": round(off, 6),
         "wall_s_tracing_on": round(on, 6),
         "overhead_fraction": round(overhead, 6),
@@ -262,11 +273,11 @@ def test_tracing_overhead_within_budget(benchmark):
         f.write("\n")
 
     report("trace_overhead", (
-        "tracing off (best of %d): %.4fs\n"
-        "tracing on  (best of %d): %.4fs\n"
-        "overhead: %.2f%% (budget %.0f%%)"
-        % (TRIALS, off, TRIALS, on, 100 * overhead,
-           100 * OVERHEAD_BUDGET)
+        "tracing off (median job of %d): %.4fs\n"
+        "tracing on  (median job of %d): %.4fs\n"
+        "overhead (median of %d paired trials): %.2f%% (budget %.0f%%)"
+        % (len(times[False]), off, len(times[True]), on, TRIALS,
+           100 * overhead, 100 * OVERHEAD_BUDGET)
     ))
 
     assert overhead <= OVERHEAD_BUDGET, (

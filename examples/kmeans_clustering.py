@@ -33,7 +33,13 @@ def main():
     ]
     print("\nper-iteration max center movement:",
           [round(d, 4) for d in drift])
-    print("network:", cluster.network.stats())
+    snapshot = cluster.metrics()
+    print("network: %d messages, %d bytes (%d zero-copy)" % tuple(
+        snapshot.value(name) for name in (
+            "pc_net_messages_total", "pc_net_bytes_total",
+            "pc_net_bytes_zero_copy_total",
+        )
+    ))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,14 @@ def main():
     print("estimated beta:", np.round(estimate, 4))
     print("max abs error: ", float(np.abs(estimate - np.linalg.solve(
         x.T @ x, x.T @ y)).max()))
-    print("\nnetwork:", cluster.network.stats())
+    print()
+    snapshot = cluster.metrics()
+    print("network: %d messages, %d bytes (%d zero-copy)" % tuple(
+        snapshot.value(name) for name in (
+            "pc_net_messages_total", "pc_net_bytes_total",
+            "pc_net_bytes_zero_copy_total",
+        )
+    ))
 
 
 if __name__ == "__main__":

@@ -713,18 +713,6 @@ class PCCluster:
         """
         return getattr(self.transport, "supervisor", None)
 
-    def stats(self):
-        """Cluster-wide counters for tests and benches."""
-        return {
-            "network": self.network.stats(),
-            "replication": self.replication.stats(),
-            "blacklist": sorted(self.blacklist),
-            "workers": {
-                worker.worker_id: worker.storage.stats()
-                for worker in self.active_workers
-            },
-        }
-
     def _collect_cluster_gauges(self):
         self._g_workers_active.set(len(self.active_workers))
         self._g_workers_blacklisted.set(len(self.blacklist))

@@ -20,9 +20,10 @@ paper's "a page moves between processes with zero (de)serialization",
 for real this time.
 
 Results travel back as the sink's unfinished
-:meth:`~repro.engine.pipeline.Sink.state` plus the engine-metric and
-trace-counter deltas the coordinator replays into its shadow engine; the
-coordinator's own sink loads that state
+:meth:`~repro.engine.pipeline.Sink.state` plus one map of counter
+deltas: the task's engine books into a registry of its own, and the
+coordinator books those counts into the worker's registry, trace
+mirrors included; the coordinator's own sink loads that state
 (:meth:`~repro.engine.pipeline.Sink.load`), which finishes it.  A task
 whose result would carry PC objects (handles/facades pointing into page
 memory) is *rejected*, not failed: the coordinator re-runs that portion
@@ -55,6 +56,7 @@ from repro.memory.block import AllocationBlock
 from repro.memory.builtins import AnyObject, VectorType
 from repro.memory.columnar import ColumnarPage
 from repro.obs.events import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 _ROOT_VECTOR = VectorType(AnyObject)
@@ -62,16 +64,18 @@ _ROOT_VECTOR = VectorType(AnyObject)
 #: The in-flight task's id, tracer and engine, plus the flight-recorder
 #: mark its events start at.  The main loop's error path harvests partial
 #: spans and counter deltas from it after ``_execute`` unwound, and the
-#: heartbeat thread publishes the engine's ``rows_in`` as progress; the
-#: engine stays until the next task starts, so the last task's row count
-#: remains readable after it ends.  Plain dict reads and writes are
-#: atomic under the GIL, so neither side locks.
+#: heartbeat thread publishes the task registry's ``rows_in`` as
+#: progress; the engine stays until the next task starts, so the last
+#: task's row count remains readable after it ends.  Plain dict reads
+#: and writes are atomic under the GIL, so neither side locks.
 _task_state = {"task": 0}
 
 
 def _rows_in():
     engine = _task_state.get("engine")
-    return engine.metrics.rows_in if engine is not None else 0
+    # One dict read (``value_for``), not ``value``'s walk over the
+    # series: the task thread may add the series while this thread reads.
+    return engine.counters["rows_in"].value_for() if engine else 0
 
 
 def _beat_loop(slot, interval):
@@ -139,19 +143,6 @@ class _OpSpanRecorder:
         if result is not None:
             span.inc("op.rows_out", len(result))
         return result
-
-    def note_columnar_rows(self, name, rows):
-        """Book array-kernel rows where the coordinator's replay reads.
-
-        With a profiler set, the engine routes columnar row counts here
-        instead of its tracer fallback.  They go on the task *root*
-        span, whose direct counters ship flat in the ``"trace"`` delta —
-        the channel ``_apply_remote_deltas`` re-books its
-        ``pc_op_columnar_rows_total`` series from.  Putting them on the
-        op span instead would strand them (replay only reads the flat
-        dict) and double-count once the span tree is grafted.
-        """
-        self._root.inc("op.%s.columnar_rows" % name, rows)
 
 
 #: (shm, view) pairs whose buffers were still referenced at detach time
@@ -240,20 +231,14 @@ def _reject_pc_values(value, depth=0):
 def _pack_deltas(engine, root, events):
     """The shipping form of one task's evidence (result or error leg).
 
-    The root span's *direct* counters travel flat in ``"trace"`` — the
-    coordinator replays them with ``tracer.add`` onto its own open task
-    span, exactly as the counter-only protocol did — and are emptied off
-    the shipped span tree so grafting cannot double-count them.  The op
-    spans keep their own counters; they exist only remotely.  Spans
-    serialize relative to the root's start, with the root's absolute
-    ``time.monotonic()`` carried once as ``"span_base"`` for the
-    coordinator's clock-offset shift.
+    ``"counts"`` are the task registry's counter values, which are this
+    task's deltas; the coordinator books them into the worker's registry
+    inside its open task span.  Spans serialize relative to the root's
+    start, with the root's absolute ``time.monotonic()`` carried once as
+    ``"span_base"`` for the coordinator's clock-offset shift.
     """
-    trace_counts = dict(root.counters)
-    root.counters = {}
     return {
-        "metrics": engine.metrics.as_dict() if engine is not None else {},
-        "trace": trace_counts,
+        "counts": engine.registry.counts() if engine is not None else {},
         "spans": [root.to_dict()],
         "span_base": root.start,
         "events": events,
@@ -298,10 +283,12 @@ def _execute(spec, task_id=0, recorder=None):
                      kind="task", detail="task %d" % task_id) as root:
         root.pid = os.getpid()
         root.parent_id = context.get("parent_span_id")
+        # The task registry has no tracer: the counts' trace mirrors
+        # land once, when the coordinator books them.
         engine = PipelineEngine(
             spec["program"], _PlanStub(spec["build_sides"]), None,
-            batch_size=spec["batch_size"], tracer=tracer,
-            profiler=_OpSpanRecorder(root),
+            batch_size=spec["batch_size"], registry=MetricsRegistry(),
+            tracer=tracer, profiler=_OpSpanRecorder(root),
         )
         _task_state["tracer"] = tracer
         _task_state["engine"] = engine

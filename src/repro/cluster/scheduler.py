@@ -190,11 +190,9 @@ class DistributedScheduler:
             engine = PipelineEngine(
                 self.program, self.plan, scan_reader,
                 batch_size=self.cluster.batch_size,
-                tracer=self.tracer, profiler=self.profiler,
+                registry=worker.metrics, tracer=self.tracer,
+                profiler=self.profiler,
             )
-            # Engine counters stay exact per instance; binding publishes
-            # their deltas into the worker's registry as pc_engine_*.
-            engine.metrics.bind(worker.metrics)
             checkpoint = self._checkpoints.get(worker.worker_id)
             if checkpoint is not None:
                 engine.hash_tables.update(checkpoint["hash_tables"])
@@ -639,36 +637,20 @@ class DistributedScheduler:
         return build_scan
 
     def _apply_remote_deltas(self, worker, outcome):
-        """Replay a child's engine-metric and trace-counter deltas, and
-        graft its span batch into the job tree.
+        """Book a child's counter deltas and graft its span batch into
+        the job tree.
 
-        Applied inside the worker's task span, so trace attribution
-        matches the inline path; the engine's bound registry mirrors the
-        metric deltas into ``pc_engine_*`` automatically.  Span
-        timestamps arrive relative to ``outcome.span_base`` on the
+        The counts go into the worker's registry, where the engine that
+        built the task declared them, inside the worker's task span, so
+        their trace mirrors land there exactly as on the inline path.
+        Span timestamps arrive relative to ``outcome.span_base`` on the
         child's clock; ``span_base + clock_offset`` shifts the whole
         batch into the coordinator's ``time.monotonic()`` frame (DESIGN
         §14), after which the remote root becomes a child of the open
         task span.  Flight-recorder events the child shipped attach to
         its root span.
         """
-        engine = self.engine_for(worker)
-        for field, delta in outcome.metrics.items():
-            if delta:
-                setattr(
-                    engine.metrics, field,
-                    getattr(engine.metrics, field) + delta,
-                )
-        for name, value in outcome.trace_counts.items():
-            self.tracer.add(name, value)
-            if (self.profiler is not None and name.startswith("op.")
-                    and name.endswith(".columnar_rows")):
-                # The child had no profiler; re-book its columnar row
-                # counts under the operator they belong to.
-                operator = name[len("op."):-len(".columnar_rows")]
-                self.profiler.op_columnar_rows.child(
-                    operator=operator
-                ).inc(value)
+        worker.metrics.add_counts(outcome.counts)
         self._graft_remote_spans(outcome)
 
     def _graft_crash_evidence(self, worker, span, crash):
@@ -1409,7 +1391,6 @@ class ClusterOutputSink(Sink):
         writer = self._ensure_writer()
         writer._seal_page()
         writer._open_page()
-        self.engine.metrics.zombie_pages += 1
 
     def consume(self, batch):
         writer = self._ensure_writer()
@@ -1431,7 +1412,9 @@ class ClusterOutputSink(Sink):
     def finish(self):
         if self._writer is not None:
             self._writer.__exit__(None, None, None)
-            self.engine.metrics.pages_written += len(self.page_set.page_ids)
+            self.engine.counters["pages_written"].inc(
+                len(self.page_set.page_ids)
+            )
 
     def abort(self):
         if self._writer is not None and self._writer._page is not None:
@@ -1497,7 +1480,9 @@ class MapOutputSink(Sink):
                         "one aggregation pair exceeds the page size"
                     )
                 pending = pending[shipped:]
-        self.engine.metrics.pages_written += len(self.page_set.page_ids)
+        self.engine.counters["pages_written"].inc(
+            len(self.page_set.page_ids)
+        )
 
     def abort(self):
         _rollback_pages(self.page_set, self._pages_mark, self._objects_mark)

@@ -34,7 +34,6 @@ import queue
 import time
 import weakref
 import zlib
-from collections import defaultdict
 
 from repro.cluster.supervisor import (
     BEAT_ROWS,
@@ -119,8 +118,7 @@ class Transport:
         #: optional flight recorder (page ships et al. leave events).
         self.recorder = recorder
         # All accounting lives in the metrics registry; each counter
-        # declares its trace-mirror name once, so the trace counters,
-        # the Prometheus series, and stats() cannot drift apart.
+        # declares its trace-mirror name once.
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
         self._c_messages = self.metrics.counter(
@@ -186,49 +184,6 @@ class Transport:
 
     def close(self):
         """Release transport-held resources (child processes etc.)."""
-
-    # Legacy counter attributes: read-only views over the registry.
-
-    @property
-    def messages(self):
-        return self._c_messages.value
-
-    @property
-    def bytes_total(self):
-        return self._c_bytes_total.value
-
-    @property
-    def bytes_zero_copy(self):
-        return self._c_bytes_zero_copy.value
-
-    @property
-    def bytes_rows(self):
-        return self._c_bytes_rows.value
-
-    @property
-    def by_link(self):
-        """Fresh ``{(src, dst): bytes}`` dict — mutating it cannot touch
-        the transport's own accounting."""
-        link = defaultdict(int)
-        for (src, dst), nbytes in self._c_link_bytes.series().items():
-            link[(src, dst)] = nbytes
-        return link
-
-    @property
-    def transfers_dropped(self):
-        return self._c_transfers_dropped.value
-
-    @property
-    def transfers_corrupted(self):
-        return self._c_transfers_corrupted.value
-
-    @property
-    def transfer_retries(self):
-        return self._c_transfer_retries.value
-
-    @property
-    def delay_s_total(self):
-        return self._c_delay_seconds.value
 
     def _record(self, src, dst, nbytes, counter):
         self._c_messages.inc()
@@ -350,27 +305,6 @@ class Transport:
             attempts += 1
             self._c_transfer_retries.inc()
 
-    def stats(self):
-        return {
-            "transport": self.name,
-            "messages": self.messages,
-            "bytes_total": self.bytes_total,
-            "bytes_zero_copy": self.bytes_zero_copy,
-            "bytes_rows": self.bytes_rows,
-            "transfers_dropped": self.transfers_dropped,
-            "transfers_corrupted": self.transfers_corrupted,
-            "transfer_retries": self.transfer_retries,
-            "delay_s_total": self.delay_s_total,
-            # Serializable per-link breakdown: "src->dst" -> bytes.  This
-            # is what exposes skewed shuffle partners in cluster.stats().
-            # Built fresh on every call — callers mutating the returned
-            # dict cannot corrupt the transport's accounting.
-            "by_link": {
-                "%s->%s" % link: nbytes
-                for link, nbytes in self.by_link.items()
-            },
-        }
-
     def reset(self):
         for counter in (
             self._c_messages, self._c_bytes_total, self._c_bytes_zero_copy,
@@ -424,7 +358,8 @@ class RemoteTask:
 class RemoteOutcome:
     """What a completed remote task hands back to the coordinator.
 
-    Beyond the result and counter deltas, it carries the child's span
+    Beyond the result and the child's counter deltas (``counts``, in
+    :meth:`~repro.obs.MetricsRegistry.counts` form), it carries its span
     batch (serialized :meth:`Span.to_dict` trees, timestamps relative to
     ``span_base`` on the *child's* ``time.monotonic()`` clock), the
     flight-recorder events of the task, and the clock calibration
@@ -434,14 +369,10 @@ class RemoteOutcome:
     so partial evidence takes the same grafting path.
     """
 
-    def __init__(self, result, metrics, trace_counts, spans=(),
-                 span_base=0.0, events=(), clock_offset=0.0,
-                 clock_error_s=0.0, pid=None):
+    def __init__(self, result, counts, spans=(), span_base=0.0, events=(),
+                 clock_offset=0.0, clock_error_s=0.0, pid=None):
         self.result = result
-        #: EngineMetrics field deltas accumulated by the child's engine.
-        self.metrics = metrics
-        #: tracer counter deltas (``engine.batches`` etc.) from the child.
-        self.trace_counts = trace_counts
+        self.counts = counts
         self.spans = list(spans or ())
         self.span_base = span_base
         self.events = list(events or ())
@@ -455,8 +386,7 @@ class RemoteOutcome:
         """Build from a child's shipped ``deltas`` dict (ok or error leg)."""
         return cls(
             result,
-            deltas.get("metrics") or {},
-            deltas.get("trace") or {},
+            deltas.get("counts") or {},
             spans=deltas.get("spans"),
             span_base=deltas.get("span_base", 0.0),
             events=deltas.get("events"),
@@ -716,7 +646,7 @@ class _ChildProcess:
         if events:
             span["events"] = events
         return RemoteOutcome(
-            None, {}, {}, spans=[span], span_base=submitted,
+            None, {}, spans=[span], span_base=submitted,
             events=events, clock_offset=0.0,
             clock_error_s=self.clock_error_s
             if self.clock_error_s is not None else float("inf"),

@@ -3,12 +3,11 @@
 from repro.engine.interpreter import LocalInterpreter
 from repro.engine.local import run_local
 from repro.engine.physical import PhysicalPlan, Pipeline, plan_pipelines
-from repro.engine.pipeline import EngineMetrics, PipelineEngine
+from repro.engine.pipeline import PipelineEngine
 from repro.engine.vectors import DEFAULT_BATCH_SIZE, VectorList, batches_of
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "EngineMetrics",
     "LocalInterpreter",
     "PhysicalPlan",
     "Pipeline",

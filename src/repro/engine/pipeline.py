@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BlockFullError, ExecutionError
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.engine import kernels
 from repro.memory.builtins import MapFacade, stable_hash
 from repro.memory.columnar import ColumnarRows
@@ -52,52 +52,18 @@ from repro.tcap.ir import (
 )
 
 
-class EngineMetrics:
-    """Counters surfaced by tests and the Figure 4/5 benches.
-
-    The fields stay exact per engine instance (tests assert per-run
-    values); :meth:`bind` additionally publishes every increase into a
-    metrics registry as cumulative ``pc_engine_*`` counters, so the
-    cluster-wide snapshot sees engine activity without disturbing the
-    per-instance numbers.
-    """
-
-    FIELDS = ("batches", "rows_in", "stage_invocations", "pages_written",
-              "zombie_pages", "pre_aggregated_keys", "probe_matches",
-              "columnar_rows")
-
-    def __init__(self):
-        object.__setattr__(self, "_counters", None)
-        for name in self.FIELDS:
-            object.__setattr__(self, name, 0)
-
-    def bind(self, registry):
-        """Mirror future (and already-accumulated) increases into
-        ``registry`` as ``pc_engine_<field>_total`` counters."""
-        counters = {
-            name: registry.counter(
-                "pc_engine_%s_total" % name,
-                help="Pipeline-engine counter: %s" % name.replace("_", " "),
-            )
-            for name in self.FIELDS
-        }
-        for name, counter in counters.items():
-            accumulated = getattr(self, name)
-            if accumulated:
-                counter.inc(accumulated)
-        object.__setattr__(self, "_counters", counters)
-        return self
-
-    def __setattr__(self, name, value):
-        counters = self._counters
-        if counters is not None and name in counters:
-            delta = value - getattr(self, name, 0)
-            if delta > 0:
-                counters[name].inc(delta)
-        object.__setattr__(self, name, value)
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.FIELDS}
+#: The engine's counts, each booked into a metrics registry as
+#: ``pc_engine_<name>_total``, with the trace mirror it carries (if any).
+_ENGINE_COUNTS = {
+    "batches": "engine.batches",
+    "rows_in": "engine.rows_in",
+    "rows_out": "engine.rows_out",
+    "stage_invocations": None,
+    "pages_written": None,
+    "zombie_pages": None,
+    "pre_aggregated_keys": None,
+    "probe_matches": None,
+}
 
 
 #: Operator labels for the profiler's ``pc_op_seconds`` histogram.
@@ -114,11 +80,11 @@ class PipelineEngine:
     """Executes a physical plan over one worker's data."""
 
     def __init__(self, program, plan, scan_reader, batch_size=None,
-                 output_sink_factory=None, metrics=None, tracer=None,
-                 profiler=None):
-        """``scan_reader(scan_stmt)`` yields the objects of a stored set;
-        ``output_sink_factory(output_stmt)`` builds the sink for OUTPUT
-        statements (defaults to collecting Python lists).  With a
+                 registry=None, tracer=None, profiler=None):
+        """``scan_reader(scan_stmt)`` yields the objects of a stored set.
+        The engine books its counts into ``registry`` as
+        ``pc_engine_<name>_total`` counters; without one it gets a private
+        registry, so a local run's counts are exactly that run's.  With a
         ``profiler`` every TCAP operator application is timed into the
         ``pc_op_seconds{operator=...}`` histograms.
         """
@@ -126,13 +92,31 @@ class PipelineEngine:
         self.plan = plan
         self.scan_reader = scan_reader
         self.batch_size = batch_size or DEFAULT_BATCH_SIZE
-        self.metrics = metrics or EngineMetrics()
         self.tracer = tracer or Tracer()
+        self.registry = registry if registry is not None else \
+            MetricsRegistry(tracer=self.tracer)
+        #: ``{name: Counter}``, declared in ``registry`` (get-or-create);
+        #: ``columnar_rows`` counts the rows each operator ran on its
+        #: array kernel.
+        self.counters = {
+            name: self.registry.counter(
+                "pc_engine_%s_total" % name,
+                help="Pipeline-engine counter: %s" % name.replace("_", " "),
+                trace=trace,
+            )
+            for name, trace in _ENGINE_COUNTS.items()
+        }
+        self.counters["columnar_rows"] = self.registry.counter(
+            "pc_engine_columnar_rows_total",
+            help="Rows each operator processed on the columnar "
+                 "(whole-page array kernel) path",
+            labelnames=("operator",),
+            trace="op.{operator}.columnar_rows",
+        )
         self.profiler = profiler
         self.hash_tables = {}  # join output vlist -> {hash: [row tuples]}
         self.store = {}  # materialized vlist -> {column: list}
-        self.outputs = {}  # (db, set) -> list (when using the default sink)
-        self._sink_factory = output_sink_factory or self._default_sink
+        self.outputs = {}  # (db, set) -> list (local-mode output sinks)
 
     # -- public ------------------------------------------------------------------
 
@@ -170,10 +154,9 @@ class PipelineEngine:
         the sealed page become dead space, and the sealed page — which may
         hold output rows already — is the paper's zombie output page.
         """
-        self.metrics.batches += 1
-        self.metrics.rows_in += len(batch)
-        self.tracer.add("engine.batches")
-        self.tracer.add("engine.rows_in", len(batch))
+        counters = self.counters
+        counters["batches"].inc()
+        counters["rows_in"].inc(len(batch))
         for attempt in range(3):
             block = sink.allocation_block()
             try:
@@ -187,19 +170,20 @@ class PipelineEngine:
                     if current is not None:
                         sink.consume(current)
                 if current is not None:
-                    self.tracer.add("engine.rows_out", len(current))
+                    counters["rows_out"].inc(len(current))
                 return
             except BlockFullError:
                 if attempt == 2:
                     raise
                 sink.roll_page()
-                self.metrics.zombie_pages += 1
+                counters["zombie_pages"].inc()
 
     def _apply_stages(self, stages, batch):
         """Run all stages; returns None when a stage empties the batch."""
         current = batch
+        invocations = self.counters["stage_invocations"]
         for stage in stages:
-            self.metrics.stage_invocations += 1
+            invocations.inc()
             current = self._apply_stage(stage, current)
             if len(current) == 0:
                 return None
@@ -266,21 +250,12 @@ class PipelineEngine:
         else:
             result = None
         if result is not None:
-            self._note_columnar(
-                _OPERATOR_NAMES.get(type(stage), type(stage).__name__),
+            self.counters["columnar_rows"].inc(
                 len(batch),
+                operator=_OPERATOR_NAMES.get(type(stage),
+                                             type(stage).__name__),
             )
         return result
-
-    def _note_columnar(self, operator, rows):
-        self.metrics.columnar_rows += rows
-        if self.profiler is not None:
-            self.profiler.note_columnar_rows(operator, rows)
-        elif self.tracer is not None:
-            # No profiler in a back-end process: record the per-operator
-            # count as a trace counter so the coordinator can replay it
-            # into its own pc_op_columnar_rows_total series.
-            self.tracer.add("op.%s.columnar_rows" % operator, rows)
 
     def _probe(self, stage, batch):
         table = self.hash_tables.get(stage.output)
@@ -297,13 +272,16 @@ class PipelineEngine:
             built_columns = stage.left_columns
         out = {c: [] for c in stage.output_columns()}
         probe_cols = [batch.column(c) for c in probe_columns]
+        matches = 0
         for row, hash_value in enumerate(batch.column(probe_hash)):
             for built_row in table.get(hash_value, ()):
-                self.metrics.probe_matches += 1
+                matches += 1
                 for name, column in zip(probe_columns, probe_cols):
                     out[name].append(column[row])
                 for name, value in zip(built_columns, built_row):
                     out[name].append(value)
+        if matches:
+            self.counters["probe_matches"].inc(matches)
         return VectorList(out)
 
     # -- sources ---------------------------------------------------------------------
@@ -333,11 +311,8 @@ class PipelineEngine:
         if pipeline.sink_kind == SINK_MATERIALIZE:
             return MaterializeSink(self, pipeline.sink)
         if pipeline.sink_kind == SINK_OUTPUT:
-            return self._sink_factory(pipeline.sink)
+            return ListOutputSink(self, pipeline.sink)
         raise ExecutionError("unknown sink kind %r" % pipeline.sink_kind)
-
-    def _default_sink(self, output_stmt):
-        return ListOutputSink(self, output_stmt)
 
 
 def object_batches(objects, column, batch_size, columnar=False):
@@ -511,7 +486,9 @@ class AggregateSink(Sink):
             # Declared-sum aggregation over array columns: one grouped
             # bincount per batch instead of a per-row combine loop.
             kernels.aggregate_sum(self.groups, keys, values)
-            self.engine._note_columnar("aggregate", len(batch))
+            self.engine.counters["columnar_rows"].inc(
+                len(batch), operator="aggregate"
+            )
             return
         keys = kernels.reify_column(keys)
         values = kernels.reify_column(values)
@@ -524,7 +501,7 @@ class AggregateSink(Sink):
                 groups[key] = value
 
     def finish(self):
-        self.engine.metrics.pre_aggregated_keys += len(self.groups)
+        self.engine.counters["pre_aggregated_keys"].inc(len(self.groups))
         groups = self.groups
         existing = (
             self.engine.store.get(self.statement.output)

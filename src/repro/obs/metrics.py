@@ -16,13 +16,12 @@ Design points:
   registries into one cluster-wide :class:`MetricsSnapshot` without name
   collisions.
 
-* **Trace mirrors.**  A counter may declare the dotted trace-counter
-  name it historically reported through :meth:`Tracer.add`
-  (``trace="repl.replica_writes"``).  Incrementing the counter then
-  *also* reports into the active trace span — the metric name, the trace
-  counter, and the ``stats()`` key are all derived from one declaration,
-  so they can no longer drift apart.  Labeled mirrors may use a format
-  template (``trace="net.link.{src}->{dst}"``).
+* **One booking per count.**  A count is booked once, into a registry
+  counter; every other surface reads it.  A counter may declare the
+  dotted trace-counter name the job trace shows it under
+  (``trace="repl.replica_writes"``): incrementing the counter then
+  *also* reports into the active trace span.  Labeled mirrors may use a
+  format template (``trace="net.link.{src}->{dst}"``).
 
 * **Histograms** use fixed log-scaled buckets (upper bounds, ``le``
   semantics: an observation equal to a bound lands in that bound's
@@ -403,35 +402,24 @@ class MetricsRegistry:
     def get(self, name):
         return self._metrics.get(name)
 
-    def trace_names(self, prefix=""):
-        """Every declared trace-mirror name under ``prefix``.
+    def counts(self):
+        """``{name: {label values: count}}`` of every counter booked.
 
-        This is the single source both the trace counters and the
-        ``stats()`` views derive from; tests assert the two key sets
-        match by comparing against it.
+        A back-end process ships this for its per-task registry: the
+        values are the task's deltas.
         """
         return {
-            m.trace_name for m in self._metrics.values()
-            if m.trace_name is not None and m.trace_name.startswith(prefix)
+            name: metric.series() for name, metric in self._metrics.items()
+            if metric.kind == "counter" and metric._values
         }
 
-    def stats_view(self, trace_prefix):
-        """``{trace-suffix: value}`` for counters mirrored under a prefix.
-
-        The thin-view backbone of the legacy ``stats()`` dicts: keys are
-        derived from the same declarations as the trace counters, values
-        read straight from the registry, so the two surfaces cannot
-        drift.  Templated (per-label) mirrors are skipped — they surface
-        through their own structured entries.
-        """
-        view = {}
-        for metric in self._metrics.values():
-            trace = metric.trace_name
-            if trace is None or "{" in trace or \
-                    not trace.startswith(trace_prefix):
-                continue
-            view[trace[len(trace_prefix):]] = metric.value
-        return view
+    def add_counts(self, counts):
+        """Book another registry's :meth:`counts` into the counters of
+        the same names here, trace mirrors included."""
+        for name, series in counts.items():
+            counter = self._metrics[name]
+            for key, amount in series.items():
+                counter.inc(amount, **dict(zip(counter.labelnames, key)))
 
     # -- snapshots ----------------------------------------------------------------
 

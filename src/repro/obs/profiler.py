@@ -42,8 +42,9 @@ class StageProfiler:
             MetricsRegistry()
         self.tracer = tracer
         #: buffer pools observed for pages-touched / peak-bytes; the
-        #: cluster appends each worker's pool (duck-typed: ``pins``,
-        #: ``in_memory_bytes``, ``peak_in_memory_bytes`` attributes).
+        #: cluster appends each worker's pool (duck-typed: a ``metrics``
+        #: registry holding its pin counter, ``in_memory_bytes`` and
+        #: ``peak_in_memory_bytes`` attributes).
         self.pools = list(pools) if pools is not None else []
         self.stage_seconds = self.registry.histogram(
             "pc_sched_stage_seconds",
@@ -90,13 +91,6 @@ class StageProfiler:
             help="Buffer-pool pins during operator applications",
             labelnames=("operator",),
         )
-        self.op_columnar_rows = self.registry.counter(
-            "pc_op_columnar_rows_total",
-            help="Rows each operator processed on the columnar "
-                 "(whole-page array kernel) path; compare against "
-                 "pc_op_rows_total for the columnar-vs-object split",
-            labelnames=("operator",),
-        )
         self.op_peak_bytes = self.registry.gauge(
             "pc_op_peak_bytes",
             help="Max peak buffer-pool occupancy in any one operator run",
@@ -108,8 +102,7 @@ class StageProfiler:
         #: gauge read on every application).
         self._op_handles = {}
         self._stage_handles = {}
-        self._op_trace_names = {}
-        self._op_columnar_handles = {}
+        self._op_trace_keys = {}
         self._op_peak_seen = {}
         self._stage_peak_seen = {}
 
@@ -119,7 +112,8 @@ class StageProfiler:
     # -- nesting-aware pool watermarks ---------------------------------------------
 
     def _pins_total(self):
-        return sum(pool.pins for pool in self.pools)
+        return sum(pool.metrics.get("pc_pool_pages_pinned_total").value
+                   for pool in self.pools)
 
     def _begin_scope(self):
         """Snapshot pin counts and reset peak watermarks (restorable)."""
@@ -156,22 +150,11 @@ class StageProfiler:
                 self.op_rows.child(operator=name),
                 self.op_pages.child(operator=name),
             )
-            self._op_trace_names[name] = (
+            self._op_trace_keys[name] = (
                 "op.%s.calls" % name, "op.%s.wall_ms" % name,
                 "op.%s.cpu_ms" % name, "op.%s.rows" % name,
             )
         return handles
-
-    def note_columnar_rows(self, name, rows):
-        """Record ``rows`` handled by operator ``name``'s array kernel."""
-        handle = self._op_columnar_handles.get(name)
-        if handle is None:
-            handle = self._op_columnar_handles[name] = \
-                self.op_columnar_rows.child(operator=name)
-        handle.inc(rows)
-        tracer = self.tracer
-        if tracer is not None and tracer.active is not None:
-            tracer.add("op.%s.columnar_rows" % name, rows)
 
     def operator(self, name, fn, *args, **kwargs):
         """Run ``fn`` inside a profiled operator scope; returns its result."""
@@ -195,7 +178,7 @@ class StageProfiler:
             self.op_peak_bytes.set(peak, operator=name)
         tracer = self.tracer
         if tracer is not None and tracer.active is not None:
-            names = self._op_trace_names[name]
+            names = self._op_trace_keys[name]
             tracer.add(names[0])
             tracer.add(names[1], wall * 1e3)
             tracer.add(names[2], cpu * 1e3)

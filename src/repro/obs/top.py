@@ -72,10 +72,10 @@ class ClusterTop:
             if last is not None and now > last[0] and rows >= last[1]:
                 rate = (rows - last[1]) / (now - last[0])
             self._last_rows[worker.worker_id] = (now, rows)
-            pool_stats = worker.storage.pool.stats()
+            pool = worker.storage.pool
             frame.append(WorkerSample(
                 worker.worker_id, state, pid, task_id, rows, rate,
-                pool_stats["in_memory_bytes"], pool_stats["capacity_bytes"],
+                pool.in_memory_bytes, pool.capacity_bytes,
                 worker.refork_count,
             ))
         frame.sort(key=lambda sample: (-_STATE_ORDER.get(sample.state, 0),

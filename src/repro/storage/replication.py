@@ -109,8 +109,8 @@ class ReplicationManager:
         self.storage_manager = storage_manager
         self.network = network
         self.tracer = tracer or Tracer()
-        # Counters live in the metrics registry; trace mirrors and the
-        # stats() view both derive from these declarations.
+        # Counters live in the metrics registry; each declares its trace
+        # mirror.
         self.metrics = metrics if metrics is not None else \
             MetricsRegistry(tracer=self.tracer)
         self._c_replica_writes = self.metrics.counter(
@@ -138,28 +138,6 @@ class ReplicationManager:
             help="Corrupt copies overwritten from a healthy replica",
             trace="repl.pages_healed",
         )
-
-    @property
-    def replica_writes(self):
-        return self._c_replica_writes.value
-
-    @property
-    def failover_reads(self):
-        return self._c_failover_reads.value
-
-    @property
-    def checksum_failures(self):
-        return self._c_checksum_failures.value
-
-    @property
-    def re_replications(self):
-        return self._c_re_replications.value
-
-    @property
-    def pages_healed(self):
-        return self._c_pages_healed.value
-
-    # -- placement (writes) ----------------------------------------------------
 
     def store_page(self, database, name, data, count, source="client"):
         """Place one loaded page on its primary plus ring replicas.
@@ -540,13 +518,4 @@ class ReplicationManager:
         return {
             uid: len(self._live_replicas(record))
             for uid, record in meta.pages.items()
-        }
-
-    def stats(self):
-        return {
-            "replica_writes": self.replica_writes,
-            "failover_reads": self.failover_reads,
-            "checksum_failures": self.checksum_failures,
-            "re_replications": self.re_replications,
-            "pages_healed": self.pages_healed,
         }

@@ -67,7 +67,7 @@ def test_loader_round_robins_pages(cluster):
     assert sum(per_worker) == n
     assert all(count > 0 for count in per_worker)
     # Pages moved as zero-copy bytes.
-    assert cluster.network.bytes_zero_copy > 0
+    assert cluster.metrics().value("pc_net_bytes_zero_copy_total") > 0
 
 
 def test_distributed_aggregation_with_map_shuffle(cluster):

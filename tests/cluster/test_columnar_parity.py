@@ -114,35 +114,31 @@ def test_selection_projection_aggregation_parity(tmp_path, transport):
         expected_sums[i % 4] = expected_sums.get(i % 4, 0.0) + float(i)
 
     results = {}
-    for columnar in (True, False):
+    for columnar, profiling in ((True, True), (True, False), (False, True)):
         cluster = make_cluster(
-            tmp_path, "col" if columnar else "obj", transport,
-            profiling=True,
+            tmp_path, "%s-%s" % (columnar, profiling), transport,
+            profiling=profiling,
         )
         try:
             # Parity must span page boundaries.
             _load_points(cluster, n, min_pages=2)
-            results[columnar] = _run_selection_and_sum(cluster, columnar)
+            results[columnar, profiling] = _run_selection_and_sum(
+                cluster, columnar
+            )
             snapshot = cluster.metrics()
-            if columnar:
-                # The engine-total counter is authoritative on every
-                # transport (process workers ship their metric deltas
-                # home); the per-operator split is master-side
-                # observability, so assert it where the pipeline runs
-                # in the coordinator process.
-                assert snapshot.value("pc_engine_columnar_rows_total") > 0
-                if transport == "sim":
-                    for operator in ("filter", "apply", "aggregate"):
-                        assert snapshot.value(
-                            "pc_op_columnar_rows_total", operator=operator
-                        ) > 0, operator
-            else:
-                assert snapshot.value("pc_op_columnar_rows_total") == 0
-                assert snapshot.value("pc_engine_columnar_rows_total") == 0
+            # One counter, booked where the kernel ran and shipped home
+            # from back-end processes: the per-operator split holds on
+            # every transport, profiled or not.
+            for operator in ("filter", "apply", "aggregate"):
+                rows = snapshot.value(
+                    "pc_engine_columnar_rows_total", operator=operator
+                )
+                assert (rows > 0) == columnar, (operator, rows)
         finally:
             cluster.close()
 
-    assert results[True] == results[False] == (expected_high, expected_sums)
+    for result in results.values():
+        assert result == (expected_high, expected_sums)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -154,11 +150,11 @@ def test_pc_columnar_env_kill_switch(tmp_path, transport, monkeypatch):
         monkeypatch.setenv("PC_COLUMNAR", "0")
         agg = SumX().set_input(ObjectReader("db", "points"))
         cluster.execute_computations(Writer("db", "sums").set_input(agg))
-        assert cluster.metrics().value("pc_op_columnar_rows_total") == 0
+        assert cluster.metrics().value("pc_engine_columnar_rows_total") == 0
         monkeypatch.delenv("PC_COLUMNAR")
         cluster.clear_set("db", "sums")
         cluster.execute_computations(Writer("db", "sums").set_input(agg))
-        assert cluster.metrics().value("pc_op_columnar_rows_total") > 0
+        assert cluster.metrics().value("pc_engine_columnar_rows_total") > 0
     finally:
         cluster.close()
 

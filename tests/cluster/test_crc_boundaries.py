@@ -123,7 +123,7 @@ def test_one_stamp_per_stored_page_and_none_on_reads_or_combiners(
     assert len(crc_calls) == outputs
     assert cluster.read("db", "sums", as_pairs=True, comp=agg) == \
         expected_sums()
-    assert cluster.replication.checksum_failures == 0
+    assert cluster.metrics().value("pc_repl_checksum_failures_total") == 0
 
 
 def test_corrupt_transfer_costs_one_receipt_check_per_attempt(
@@ -136,9 +136,9 @@ def test_corrupt_transfer_costs_one_receipt_check_per_attempt(
     )
     injector.corrupt_transfer(times=1)
     pages = load_points(cluster)
-    network = cluster.network
-    assert network.transfers_corrupted == 1
-    attempts = 2 * pages + network.transfer_retries
+    snapshot = cluster.metrics()
+    assert snapshot.value("pc_net_transfers_corrupted_total") == 1
+    attempts = 2 * pages + snapshot.value("pc_net_transfer_retries_total")
     # One stamp per stored page plus one receipt check per attempt.
     assert len(crc_calls) == pages + attempts
     assert sorted(h.pid for h in cluster.read("db", "points")) == \
@@ -158,24 +158,27 @@ def test_seeded_corruption_is_caught_only_at_receipt(
     )
     ships = count_page_ships(monkeypatch, cluster.network)
     pages = load_points(cluster)
-    network = cluster.network
+    retries = cluster.network.metrics.get("pc_net_transfer_retries_total")
+    corrupted = cluster.network.metrics.get(
+        "pc_net_transfers_corrupted_total"
+    )
     # Corruption is the only fault armed: every re-send answers a flip.
-    assert network.transfer_retries == network.transfers_corrupted
-    assert len(crc_calls) == pages + len(ships) + network.transfer_retries
+    assert retries.value == corrupted.value
+    assert len(crc_calls) == pages + len(ships) + retries.value
 
     del crc_calls[:], ships[:]
-    retries = network.transfer_retries
+    retries_before = retries.value
     agg = SumX().set_input(ObjectReader("db", "points"))
     Writer("db", "sums").set_input(agg).execute(cluster)
     assert ships and all(checksum is None for checksum in ships)
-    attempts = len(ships) + network.transfer_retries - retries
+    attempts = len(ships) + retries.value - retries_before
     outputs = len(cluster.catalog.set_metadata("db", "sums").pages)
     # Output pages: one stamp each.  Combiner ships: one stamp from the
     # sent bytes, then one receipt check per attempt.
     assert len(crc_calls) == outputs + len(ships) + attempts
-    assert network.transfers_corrupted > 0
+    assert corrupted.value > 0
     assert cluster.read("db", "sums", as_pairs=True, comp=agg) == \
         expected_sums()
     assert sorted(h.pid for h in cluster.read("db", "points")) == \
         list(range(N))
-    assert cluster.replication.checksum_failures == 0
+    assert cluster.metrics().value("pc_repl_checksum_failures_total") == 0

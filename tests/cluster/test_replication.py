@@ -110,7 +110,8 @@ def test_replicated_load_places_two_copies_on_distinct_workers(tmp_path):
         assert len(workers) == 2
         assert len(set(workers)) == 2
         assert record.checksum is not None
-    assert cluster.replication.replica_writes == len(meta.pages)
+    assert cluster.metrics().value("pc_repl_replica_writes_total") == \
+        len(meta.pages)
     # Each object still counted exactly once despite two stored copies.
     assert cluster.storage_manager.total_objects("db", "points") == 600
     assert read_pids(cluster) == list(range(600))
@@ -182,10 +183,10 @@ def test_kill_worker_fails_over_and_restores_replication(tmp_path):
 
     assert cluster.blacklist == {"worker-1"}
     assert read_pids(cluster) == baseline == list(range(600))
-    assert cluster.replication.failover_reads > 0
+    assert cluster.metrics().value("pc_repl_failover_reads_total") > 0
     # The factor was restored on the survivors, spread over both.
     assert created > 0
-    assert cluster.replication.re_replications == created
+    assert cluster.metrics().value("pc_repl_re_replications_total") == created
     factors = cluster.replication.replication_factors("db", "points")
     assert factors and all(count == 2 for count in factors.values())
     for record in cluster.catalog.set_metadata("db", "points").pages.values():
@@ -227,9 +228,7 @@ def test_corrupt_spilled_page_is_quarantined_and_healed(tmp_path):
     # Enough rows that loading overflows the tiny pool in either page
     # layout (columnar pages pack ~4x more rows than object pages here).
     load_points(cluster, n=2400, replication=2)
-    spilled = sum(
-        w.storage.pool.stats()["spills"] for w in cluster.workers
-    )
+    spilled = cluster.metrics().value("pc_pool_spills_total")
     assert spilled > 0, "test premise: loading must spill pages"
     injector.corrupt_page(times=1)
 
@@ -237,16 +236,14 @@ def test_corrupt_spilled_page_is_quarantined_and_healed(tmp_path):
 
     assert injector.counts["page_corruptions"] == 1
     repl = cluster.replication
-    assert repl.checksum_failures >= 1
-    assert repl.pages_healed >= 1
-    pool_failures = sum(
-        w.storage.pool.stats()["checksum_failures"] for w in cluster.workers
-    )
+    assert repl.metrics.get("pc_repl_checksum_failures_total").value >= 1
+    assert repl.metrics.get("pc_repl_pages_healed_total").value >= 1
+    pool_failures = cluster.metrics().value("pc_pool_checksum_failures_total")
     assert pool_failures >= 1
     # The healed copy serves cleanly now: a second read sees no new faults.
-    healed = repl.pages_healed
+    healed = repl.metrics.get("pc_repl_pages_healed_total").value
     assert read_pids(cluster) == list(range(2400))
-    assert repl.pages_healed == healed
+    assert repl.metrics.get("pc_repl_pages_healed_total").value == healed
 
 
 def test_corrupt_transfer_is_detected_and_resent(tmp_path):
@@ -266,9 +263,9 @@ def test_corrupt_transfer_is_detected_and_resent(tmp_path):
     # The flipped payload failed its CRC on receipt and was re-sent; the
     # corrupted bytes never reached a partition.
     assert injector.counts["transfer_corruptions"] == 1
-    stats = cluster.network.stats()
-    assert stats["transfers_corrupted"] == 1
-    assert stats["transfer_retries"] >= 1
+    snapshot = cluster.metrics()
+    assert snapshot.value("pc_net_transfers_corrupted_total") == 1
+    assert snapshot.value("pc_net_transfer_retries_total") >= 1
     assert read_pids(cluster) == list(range(50))
     for record in cluster.catalog.set_metadata("db", "points").pages.values():
         assert record.checksum is not None
@@ -314,8 +311,8 @@ def test_decommission_of_unmapped_pages_verifies_receipt(tmp_path):
     assert cluster.decommission_worker("worker-0") == len(sealed)
 
     assert injector.counts["transfer_corruptions"] == 1
-    assert cluster.network.transfers_corrupted == 1
-    assert cluster.network.transfer_retries == 1
+    assert cluster.metrics().value("pc_net_transfers_corrupted_total") == 1
+    assert cluster.metrics().value("pc_net_transfer_retries_total") == 1
     adopted = []
     for worker in cluster.active_workers:
         survivor = worker.storage.get_set("db", "raw")
@@ -447,7 +444,7 @@ def test_tpch_query_survives_worker_kill_byte_identical(tmp_path):
 
     assert survivor_bytes == clean_bytes  # byte-identical result
     assert survivor_total == clean_total
-    assert survivor.replication.failover_reads > 0
+    assert survivor.metrics().value("pc_repl_failover_reads_total") > 0
     factors = survivor.replication.replication_factors("tpch", "customers")
     assert factors and all(count == 2 for count in factors.values())
     # No restart machinery fired: the job simply ran on the survivors.
@@ -472,7 +469,7 @@ def test_mid_job_blacklist_absorbs_orphans_without_restart(tmp_path):
     assert "WorkerBlacklistedEvent" not in kinds  # no job restart
     totals = cluster.last_trace.totals()
     assert totals["faults.workers_absorbed"] == 1
-    assert cluster.replication.failover_reads > 0
+    assert cluster.metrics().value("pc_repl_failover_reads_total") > 0
     # The set ended back at full replication factor on the survivors.
     factors = cluster.replication.replication_factors("db", "points")
     assert factors and all(count == 2 for count in factors.values())

@@ -72,7 +72,6 @@ def test_make_transport_resolves_names_and_passthrough():
 def test_cluster_exposes_selected_transport(tmp_path):
     cluster = make_cluster(tmp_path, "c")
     assert cluster.transport is cluster.network
-    assert cluster.stats()["network"]["transport"] == cluster.transport.name
 
 
 # -- satellite: row-shuffle integrity (seed regression) -------------------------------
@@ -87,8 +86,8 @@ def test_corrupted_row_shuffle_is_detected_and_resent(tmp_path):
     rows = [(1, 2.0), (2, 3.0), (3, 5.0)]
     shipped = cluster.network.ship_rows("worker-0", "worker-1", rows)
     assert shipped == rows  # the receiver never sees the corrupt batch
-    assert cluster.network.transfers_corrupted == 1
-    assert cluster.network.transfer_retries == 1
+    assert cluster.metrics().value("pc_net_transfers_corrupted_total") == 1
+    assert cluster.metrics().value("pc_net_transfer_retries_total") == 1
 
 
 def test_corrupted_row_shuffle_without_budget_raises(tmp_path):
@@ -98,8 +97,8 @@ def test_corrupted_row_shuffle_without_budget_raises(tmp_path):
     )
     with pytest.raises(PageCorruptionError, match="re-send budget"):
         cluster.network.ship_rows("worker-0", "worker-1", [(1, 1.0)])
-    assert cluster.network.transfers_corrupted == 1
-    assert cluster.network.transfer_retries == 0
+    assert cluster.metrics().value("pc_net_transfers_corrupted_total") == 1
+    assert cluster.metrics().value("pc_net_transfer_retries_total") == 0
 
 
 def test_row_shuffle_checksum_skipped_without_injector(tmp_path):
@@ -310,50 +309,96 @@ def load_labeled_points(cluster, n):
             load.append(Label, cluster_id=c, label="L%d" % c)
 
 
-_ENGINE_FAMILIES = ("pc_engine_batches_total", "pc_engine_rows_in_total",
-                    "pc_engine_stage_invocations_total")
-_ENGINE_TRACE = ("engine.batches", "engine.rows_in", "engine.rows_out")
+_ENGINE_FAMILIES = tuple(
+    "pc_engine_%s_total" % name for name in (
+        "batches", "rows_in", "rows_out", "stage_invocations",
+        "pages_written", "zombie_pages", "pre_aggregated_keys",
+        "probe_matches", "columnar_rows",
+    )
+)
 
 
-def _join_aggregate_counters(tmp_path, transport):
-    """Engine-counter deltas of one partitioned join feeding an aggregate.
+def _engine_counts(before, after):
+    """Per-series ``pc_engine_*`` deltas between two snapshots (worker
+    labels dropped: which worker ran a task is the placement's choice)."""
+    counts = {}
+    for name in _ENGINE_FAMILIES:
+        for labels in after.labels(name) or [{}]:
+            labels = {k: v for k, v in labels.items() if k != "worker"}
+            key = (name,) + tuple(sorted(labels.items()))
+            counts[key] = after.value(name, **labels) - \
+                before.value(name, **labels)
+    return counts
 
-    ``broadcast_threshold=0`` partitions the join, so the job runs a
-    collect segment (build side and probe side) and an aggregate sink.
-    """
-    cluster = PCCluster(n_workers=3, page_size=1 << 12,
+
+def _shipped_counts(tmp_path, transport, job, n_workers=3, **kwargs):
+    """Engine-counter deltas, ``engine.*``/``op.*`` trace totals and
+    remote spans grafted for one job on ``transport``."""
+    cluster = PCCluster(n_workers=n_workers, page_size=1 << 12,
                         spill_root=str(tmp_path / transport),
-                        transport=transport, broadcast_threshold=0)
+                        transport=transport, **kwargs)
     try:
-        load_labeled_points(cluster, n=60)
+        prepare, run = job
+        prepare(cluster)
         before = cluster.metrics()
-        agg = _SumByLabel().set_input(
-            _LabelJoin().set_input(0, ObjectReader("db", "labels"))
-            .set_input(1, ObjectReader("db", "points"))
-        )
-        cluster.execute_computations(Writer("db", "sums").set_input(agg))
+        result = run(cluster)
         after = cluster.metrics()
-        assert any("partition join" in stage.detail
-                   for stage in cluster.last_job_log)
         totals = cluster.last_trace.totals()
         return (
-            dict(cluster.read("db", "sums", as_pairs=True, comp=agg)),
-            {name: after.value(name) - before.value(name)
-             for name in _ENGINE_FAMILIES},
-            {name: totals.get(name, 0) for name in _ENGINE_TRACE},
+            result,
+            _engine_counts(before, after),
+            {name: value for name, value in totals.items()
+             if name.startswith("engine.")
+             or name.endswith(".columnar_rows")},
+            after.value("pc_trace_remote_spans_total")
+            - before.value("pc_trace_remote_spans_total"),
         )
     finally:
         cluster.close()
 
 
+def _join_aggregate(cluster):
+    """A partitioned join feeding an aggregate: a collect segment (build
+    and probe side) and an aggregate sink."""
+    agg = _SumByLabel().set_input(
+        _LabelJoin().set_input(0, ObjectReader("db", "labels"))
+        .set_input(1, ObjectReader("db", "points"))
+    )
+    cluster.execute_computations(Writer("db", "sums").set_input(agg))
+    assert any("partition join" in stage.detail
+               for stage in cluster.last_job_log)
+    return dict(cluster.read("db", "sums", as_pairs=True, comp=agg))
+
+
 @needs_process
 def test_engine_counters_match_across_transports(tmp_path):
-    sim = _join_aggregate_counters(tmp_path, "sim")
-    process = _join_aggregate_counters(tmp_path, "process")
-    assert sim[0] == process[0]
-    assert sim[1] == process[1]
-    assert sim[2] == process[2]
-    assert all(sim[1].values()) and all(sim[2].values())
+    job = (lambda cluster: load_labeled_points(cluster, n=60),
+           _join_aggregate)
+    sim = _shipped_counts(tmp_path, "sim", job, broadcast_threshold=0)
+    process = _shipped_counts(tmp_path, "process", job,
+                              broadcast_threshold=0)
+    assert sim[:3] == process[:3]
+    assert sim[1][("pc_engine_batches_total",)] > 0
+    assert sim[1][("pc_engine_rows_out_total",)] > 0
+    assert sim[1][("pc_engine_probe_matches_total",)] > 0
+    assert sim[2]["engine.rows_out"] == \
+        sim[1][("pc_engine_rows_out_total",)]
+    assert process[3] > 0  # the process run really shipped tasks
+
+
+@needs_process
+def test_columnar_counts_match_across_transports(tmp_path):
+    job = (lambda cluster: load_lineitems(cluster, 600, seed=3),
+           lambda cluster: q6_revenue(cluster, columnar=True))
+    sim = _shipped_counts(tmp_path, "sim", job, n_workers=2)
+    process = _shipped_counts(tmp_path, "process", job, n_workers=2)
+    assert sim[:3] == process[:3]
+    for operator in ("apply", "filter", "aggregate"):
+        rows = sim[1][("pc_engine_columnar_rows_total",
+                       ("operator", operator))]
+        assert rows > 0
+        assert sim[2]["op.%s.columnar_rows" % operator] == rows
+    assert process[3] > 0
 
 
 # -- shutdown hygiene ---------------------------------------------------------------------

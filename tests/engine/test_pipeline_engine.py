@@ -91,7 +91,7 @@ def test_pipeline_engine_matches_interpreter_on_join_aggregate():
     assert dict(outputs[("db", "by_region")]) == dict(
         expected[("db", "by_region")]
     )
-    assert metrics.batches > 0
+    assert metrics.get("pc_engine_batches_total").value > 0
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 7, 1024])
@@ -150,7 +150,8 @@ def test_selection_only_pipeline():
     outputs, _p, metrics = run_local(writer, SOURCES, batch_size=8)
     expected = [o.order_id for o in ORDERS if o.total > 100.0]
     assert outputs[("db", "big")] == expected
-    assert metrics.batches == (len(ORDERS) + 7) // 8
+    assert metrics.get("pc_engine_batches_total").value == \
+        (len(ORDERS) + 7) // 8
 
 
 def test_multi_consumer_materializes():

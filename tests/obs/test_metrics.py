@@ -2,9 +2,8 @@
 
 Covers the counter/gauge/histogram primitives, the bucket-boundary
 percentile math (satellite: histogram quantiles at exact bucket
-boundaries), snapshot merging across per-process registries, and the
-trace-mirror / ``stats_view`` derivation that keeps metric names, trace
-counters, and legacy ``stats()`` keys from drifting apart.
+boundaries), snapshot merging across per-process registries, trace
+mirrors, and the counter-delta map a back-end process ships home.
 """
 
 import pytest
@@ -204,7 +203,7 @@ def test_on_collect_hooks_run_before_snapshot():
 
 
 # ---------------------------------------------------------------------------
-# Trace mirrors + stats_view (satellite: single-source naming)
+# Trace mirrors and shipped counts
 # ---------------------------------------------------------------------------
 
 def test_counter_with_trace_mirror_reports_into_active_span():
@@ -230,18 +229,30 @@ def test_templated_mirror_formats_label_values():
     assert tracer.last_trace.totals()["net.link.w0->w1"] == 64
 
 
-def test_stats_view_derives_keys_from_trace_mirrors():
-    reg = MetricsRegistry()
-    reg.counter("pc_repl_replica_writes_total",
-                trace="repl.replica_writes").inc(2)
-    reg.counter("pc_repl_pages_healed_total", trace="repl.pages_healed")
-    # Templated mirrors are structured entries, not flat stats keys.
-    reg.counter("pc_net_link_bytes_total", labelnames=("src", "dst"),
-                trace="net.link.{src}->{dst}")
-    assert reg.stats_view("repl.") == {
-        "replica_writes": 2, "pages_healed": 0,
+def test_counts_book_into_another_registry_with_their_mirrors():
+    """A back-end task's registry ships :meth:`counts`; the receiving
+    registry books them once, mirrors included."""
+    task = MetricsRegistry()
+    task.counter("pc_engine_rows_in_total", trace="engine.rows_in").inc(5)
+    task.counter("pc_engine_columnar_rows_total", labelnames=("operator",),
+                 trace="op.{operator}.columnar_rows").inc(7, operator="apply")
+    task.counter("pc_engine_zombie_pages_total")  # never booked: not shipped
+    counts = task.counts()
+    assert counts == {
+        "pc_engine_rows_in_total": {(): 5},
+        "pc_engine_columnar_rows_total": {("apply",): 7},
     }
-    assert reg.stats_view("net.") == {}
-    assert reg.trace_names("repl.") == {
-        "repl.replica_writes", "repl.pages_healed",
+
+    tracer = Tracer()
+    home = MetricsRegistry(labels={"worker": "w0"}, tracer=tracer)
+    home.counter("pc_engine_rows_in_total", trace="engine.rows_in").inc(1)
+    home.counter("pc_engine_columnar_rows_total", labelnames=("operator",),
+                 trace="op.{operator}.columnar_rows")
+    with tracer.span("task", kind="task"):
+        home.add_counts(counts)
+    assert home.get("pc_engine_rows_in_total").value == 6
+    assert home.get("pc_engine_columnar_rows_total").value_for(
+        operator="apply") == 7
+    assert tracer.last_trace.totals() == {
+        "engine.rows_in": 5, "op.apply.columnar_rows": 7,
     }

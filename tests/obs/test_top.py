@@ -87,9 +87,8 @@ def test_dead_workers_sort_to_the_top():
             return vit
 
     class _Pool:
-        @staticmethod
-        def stats():
-            return {"in_memory_bytes": 0, "capacity_bytes": 1024}
+        in_memory_bytes = 0
+        capacity_bytes = 1024
 
     class _Storage:
         pool = _Pool()

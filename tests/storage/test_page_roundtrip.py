@@ -154,7 +154,8 @@ def test_corrupted_transfer_never_delivers_damage(data, corruptions):
         "a", "b", data, checksum=page_checksum(data)
     )
     assert delivered == data
-    assert network.transfers_corrupted == corruptions
+    assert network.metrics.get("pc_net_transfers_corrupted_total").value == \
+        corruptions
 
 
 def test_corrupted_transfer_without_budget_raises():
@@ -178,8 +179,8 @@ def test_unstamped_transfer_is_verified_on_receipt():
         retry_policy=RetryPolicy(transfer_retries=1),
     )
     assert network.ship_page("a", "b", data) == data
-    assert network.transfers_corrupted == 1
-    assert network.transfer_retries == 1
+    assert network.metrics.get("pc_net_transfers_corrupted_total").value == 1
+    assert network.metrics.get("pc_net_transfer_retries_total").value == 1
 
     injector = FaultInjector().corrupt_transfer(times=1)
     network = SimulatedNetwork(
@@ -187,7 +188,7 @@ def test_unstamped_transfer_is_verified_on_receipt():
     )
     with pytest.raises(PageCorruptionError):
         network.ship_page("a", "b", data)
-    assert network.transfers_corrupted == 1
+    assert network.metrics.get("pc_net_transfers_corrupted_total").value == 1
 
 
 # -- the no-copy sealed view --------------------------------------------------
